@@ -29,12 +29,7 @@ from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
 from ..graphs.properties import ragged_arange
-from ..perf.batched import (
-    LaneLedger,
-    charge_lane_level,
-    expand_lanes,
-    lane_sweep_cost,
-)
+from ..perf.batched import LaneLedger, charge_lane_level, expand_lanes
 from ..perf.edgeshare import shared_pull_view
 from ..perf.gather import LevelBuckets, SweepExpansion, expand_frontier
 from ..perf.schedule import schedule_for
@@ -605,8 +600,7 @@ def _batched_bc(plan, runner, sched, sources) -> AlgorithmResult:
                 rexp = expand_frontier(pv.rev.offsets, rind, candidates)
                 ledger.add(
                     i,
-                    lane_sweep_cost(
-                        ctx,
+                    ctx.price(
                         candidates,
                         subgraph=pv.rev,
                         expansion=rexp,
@@ -743,8 +737,7 @@ def _batched_bc(plan, runner, sched, sources) -> AlgorithmResult:
                     rexp = expand_frontier(pv.rev.offsets, rind, nexts)
                     ledger.add(
                         i,
-                        lane_sweep_cost(
-                            ctx,
+                        ctx.price(
                             nexts,
                             subgraph=pv.rev,
                             expansion=rexp,

@@ -95,7 +95,12 @@ def virtual_split(graph: CSRGraph, vmax: int = DEFAULT_VMAX) -> VirtualSplit:
 
 
 class _TigrContext(ExecutionContext):
-    """Charges master-space activity as sweeps over the virtual graph."""
+    """Prices master-space activity as sweeps over the virtual graph.
+
+    Only :meth:`price` is overridden: charging, batch charging and the
+    ledger are the base context's, so every Tigr sweep is priced the
+    same way whichever path charges it.
+    """
 
     def __init__(
         self,
@@ -105,6 +110,10 @@ class _TigrContext(ExecutionContext):
     ) -> None:
         super().__init__(split.graph, device)
         self._split = split
+        # master ids map to threads through the virtual split, not in id
+        # order, so a solver's master-space expansion never describes the
+        # warp assignment: batches are priced sweep by sweep via price()
+        self._identity_order = False
         # destination attributes are addressed by *master* id even in the
         # virtual graph, so the §3 residency mask stays in master space;
         # pad it to the virtual node count to satisfy the cost model's
@@ -131,7 +140,7 @@ class _TigrContext(ExecutionContext):
         pos = np.arange(total, dtype=np.int64) - np.repeat(seg, counts)
         return np.repeat(vs[ids], counts) + pos
 
-    def charge(
+    def price(
         self,
         active=None,
         *,
@@ -148,7 +157,7 @@ class _TigrContext(ExecutionContext):
                 if active is not None
                 else np.arange(subgraph.num_nodes, dtype=np.int64)
             )
-            cost = charge_sweep(
+            return charge_sweep(
                 subgraph,
                 self.device,
                 ids,
@@ -156,22 +165,21 @@ class _TigrContext(ExecutionContext):
                 expansion=expansion,
                 partition=partition,
             )
-            self.metrics.add(cost)
-            return cost
         # a caller-provided expansion describes the master adjacency, not
-        # the virtual split this context charges — never forward it
-        cost = charge_sweep(
+        # the virtual split this context prices — never forward it
+        if active is None:
+            ids, expansion = self._order, self._full_expansion()
+        else:
+            ids, expansion = self._virtualize(active), None
+        return charge_sweep(
             self.graph,
             self.device,
-            self._virtualize(active)
-            if active is not None
-            else np.arange(self.graph.num_nodes, dtype=np.int64),
+            ids,
             resident_mask=None if all_shared else self.resident_mask,
             all_shared=all_shared,
+            expansion=expansion,
             partition=partition,
         )
-        self.metrics.add(cost)
-        return cost
 
 
 class TigrRunner(Runner):

@@ -1,6 +1,5 @@
 """Graffix core: the paper's three approximate graph transforms."""
 
-from .autotune import TuneResult, autotune
 from .coalesce import GraffixGraph, transform_graph
 from .confluence import CONFLUENCE_OPERATORS, merge_replicas
 from .divergence import DivergencePlan, bucket_order, degree_sim, normalize_degrees
@@ -31,8 +30,6 @@ __all__ = [
     "SharedMemoryPlan",
     "TECHNIQUES",
     "TransformReport",
-    "TuneResult",
-    "autotune",
     "bucket_order",
     "build_plan",
     "degree_sim",

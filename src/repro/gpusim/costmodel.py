@@ -18,6 +18,15 @@ paper optimizes:
 The function never computes algorithm values — value updates are done by
 the (vectorized, honest) algorithm implementations; this separation keeps
 the simulator deterministic and testable against brute force.
+
+:func:`charge_sweeps_batched` prices many sweeps in one vectorized pass
+and returns exactly the costs per-sweep :func:`charge_sweep` calls
+would.  Both pricers stay because each wins where it is used: the scalar
+path on single full sweeps and small frontiers, the batched one on runs
+of many small level-synchronous sweeps (``docs/performance.md`` has the
+measurements).  Solvers never call either directly: they charge through
+:class:`~repro.gpusim.kernel.ExecutionContext`, which picks the pricer
+and keeps the ledger.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from .device import DeviceConfig
 
 __all__ = [
     "SweepCost",
-    "charge_lane_sweeps",
     "charge_sweep",
     "charge_sweeps_batched",
     "expand_accesses",
@@ -155,6 +163,54 @@ def _region_distinct(keys: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.where(hi > lo, cnt + (lo == 0), 0)
 
 
+def _checked_inputs(
+    graph: CSRGraph, device: DeviceConfig, resident_mask: np.ndarray | None
+) -> np.ndarray | None:
+    """Validate the device and the residency mask (returned as bool)."""
+    if device.warp_size <= 0:
+        raise SimulationError("warp_size must be positive")
+    if device.line_words <= 0:
+        raise SimulationError("line_words must be positive")
+    if resident_mask is not None:
+        resident_mask = np.asarray(resident_mask, dtype=bool)
+        if resident_mask.size != graph.num_nodes:
+            raise SimulationError("resident_mask length must equal num_nodes")
+    return resident_mask
+
+
+def _sweep_cost(
+    device: DeviceConfig,
+    serial: int,
+    busy: int,
+    idle: int,
+    edge_t: int,
+    attr_global_t: int,
+    attr_shared_t: int,
+    src_t: int,
+    *,
+    all_shared: bool = False,
+) -> SweepCost:
+    """Price one sweep's counts in cycles (one atomic per processed edge).
+
+    ``all_shared`` sweeps (the §3 cluster iterations) read the edges and
+    source attributes from shared memory too.
+    """
+    edge_latency = device.shared_latency if all_shared else device.edge_latency
+    src_latency = device.shared_latency if all_shared else device.global_latency
+    cycles = (
+        serial * device.issue_cycles
+        + edge_t * edge_latency
+        + attr_global_t * device.global_latency
+        + attr_shared_t * device.shared_latency
+        + src_t * src_latency
+        + busy * device.atomic_cycles
+    )
+    return SweepCost(
+        serial, busy, idle, edge_t, attr_global_t, attr_shared_t, src_t, busy,
+        float(cycles),
+    )
+
+
 def charge_sweeps_batched(
     graph: CSRGraph,
     device: DeviceConfig,
@@ -177,15 +233,8 @@ def charge_sweeps_batched(
     ``all_shared`` sweeps are not supported (the §3 cluster iterations
     charge eagerly); ``resident_mask`` works as in :func:`charge_sweep`.
     """
-    if device.warp_size <= 0:
-        raise SimulationError("warp_size must be positive")
+    resident_mask = _checked_inputs(graph, device, resident_mask)
     line = device.line_words
-    if line <= 0:
-        raise SimulationError("line_words must be positive")
-    if resident_mask is not None:
-        resident_mask = np.asarray(resident_mask, dtype=bool)
-        if resident_mask.size != graph.num_nodes:
-            raise SimulationError("resident_mask length must equal num_nodes")
     sweeps = list(sweeps)
     live = [s for s in sweeps if s.frontier.size]
     if not live:
@@ -254,57 +303,18 @@ def charge_sweeps_batched(
     )
 
     costs = iter(
-        SweepCost(
-            serial_steps=int(serial_k[i]),
-            busy_lane_steps=int(busy_k[i]),
-            idle_lane_steps=int(idle_k[i]),
-            edge_transactions=int(edge_t_k[i]),
-            attr_global_transactions=int(attr_global_k[i]),
-            attr_shared_transactions=int(attr_shared_k[i]),
-            src_transactions=int(src_t_k[i]),
-            atomic_ops=int(busy_k[i]),
-            cycles=float(
-                serial_k[i] * device.issue_cycles
-                + edge_t_k[i] * device.edge_latency
-                + attr_global_k[i] * device.global_latency
-                + attr_shared_k[i] * device.shared_latency
-                + src_t_k[i] * device.global_latency
-                + busy_k[i] * device.atomic_cycles
-            ),
+        _sweep_cost(device, *counts)
+        for counts in zip(
+            serial_k.tolist(),
+            busy_k.tolist(),
+            idle_k.tolist(),
+            edge_t_k.tolist(),
+            attr_global_k.tolist(),
+            attr_shared_k.tolist(),
+            src_t_k.tolist(),
         )
-        for i in range(K)
     )
     return [next(costs) if s.frontier.size else SweepCost() for s in sweeps]
-
-
-def charge_lane_sweeps(
-    graph: CSRGraph,
-    device: DeviceConfig,
-    sweeps,
-    *,
-    resident_mask: np.ndarray | None = None,
-) -> list[SweepCost]:
-    """Per-lane charge attribution for a stacked multi-source sweep.
-
-    A batched engine (:mod:`repro.perf.batched`) expands many lanes'
-    frontiers in one concatenated gather, but each lane's costs must stay
-    attributable to its source as if that source had run alone.  Pass the
-    per-lane expansion slices here and every lane gets the exact
-    :class:`SweepCost` its looped :func:`charge_sweep` call would return
-    — same integers, bit-identical cycles.  The decomposition is exact
-    because the warp schedule restarts at every lane boundary (warps
-    never straddle lanes) and all transaction keys are lane-monotone, so
-    one global pass counts each lane's distinct accesses independently;
-    ``differential:batched`` and the batched-charging equivalence tests
-    prove this against the looped engine rather than assuming it.
-
-    This is :func:`charge_sweeps_batched` under a name that states the
-    contract; it exists so callers attributing per-lane charges don't
-    look like they are merely batching for host speed.
-    """
-    return charge_sweeps_batched(
-        graph, device, sweeps, resident_mask=resident_mask
-    )
 
 
 def charge_sweep(
@@ -361,18 +371,11 @@ def charge_sweep(
         active = np.asarray(active, dtype=np.int64)
         if active.size and (active.min() < 0 or active.max() >= graph.num_nodes):
             raise SimulationError("active node id out of range")
-    if resident_mask is not None:
-        resident_mask = np.asarray(resident_mask, dtype=bool)
-        if resident_mask.size != graph.num_nodes:
-            raise SimulationError("resident_mask length must equal num_nodes")
+    resident_mask = _checked_inputs(graph, device, resident_mask)
 
     if active.size == 0:
         return SweepCost()
-    if device.warp_size <= 0:
-        raise SimulationError("warp_size must be positive")
     line = device.line_words
-    if line <= 0:
-        raise SimulationError("line_words must be positive")
     if partition == "edge":
         return _charge_sweep_edge(
             graph,
@@ -449,32 +452,13 @@ def charge_sweep(
             attr_shared_t = 0
     else:
         edge_t = attr_global_t = attr_shared_t = 0
-    edge_latency = device.shared_latency if all_shared else device.edge_latency
 
     # (3) one source-attribute pass: lane p reads/writes attribute of its own
     # node; coalesced iff active ids are clustered.
     src_t = _distinct_groups(warp_of_pos, active // line, node_seg_span)
-    src_latency = device.shared_latency if all_shared else device.global_latency
-
-    atomic_ops = busy
-    cycles = (
-        serial * device.issue_cycles
-        + edge_t * edge_latency
-        + attr_global_t * device.global_latency
-        + attr_shared_t * device.shared_latency
-        + src_t * src_latency
-        + atomic_ops * device.atomic_cycles
-    )
-    return SweepCost(
-        serial_steps=serial,
-        busy_lane_steps=busy,
-        idle_lane_steps=idle,
-        edge_transactions=edge_t,
-        attr_global_transactions=attr_global_t,
-        attr_shared_transactions=attr_shared_t,
-        src_transactions=src_t,
-        atomic_ops=atomic_ops,
-        cycles=float(cycles),
+    return _sweep_cost(
+        device, serial, busy, idle, edge_t, attr_global_t, attr_shared_t, src_t,
+        all_shared=all_shared,
     )
 
 
@@ -551,29 +535,10 @@ def _charge_sweep_edge(
     else:
         attr_global_t = _distinct_groups(gid, dst_seg, node_seg_span)
         attr_shared_t = 0
-    edge_latency = device.shared_latency if all_shared else device.edge_latency
 
     # per-record source-attribute read, coalesced within each edge-warp
     src_t = _distinct_groups(gid, e_src // line, node_seg_span)
-    src_latency = device.shared_latency if all_shared else device.global_latency
-
-    atomic_ops = busy
-    cycles = (
-        serial * device.issue_cycles
-        + edge_t * edge_latency
-        + attr_global_t * device.global_latency
-        + attr_shared_t * device.shared_latency
-        + src_t * src_latency
-        + atomic_ops * device.atomic_cycles
-    )
-    return SweepCost(
-        serial_steps=serial,
-        busy_lane_steps=busy,
-        idle_lane_steps=idle,
-        edge_transactions=edge_t,
-        attr_global_transactions=attr_global_t,
-        attr_shared_transactions=attr_shared_t,
-        src_transactions=src_t,
-        atomic_ops=atomic_ops,
-        cycles=float(cycles),
+    return _sweep_cost(
+        device, serial, busy, idle, edge_t, attr_global_t, attr_shared_t, src_t,
+        all_shared=all_shared,
     )

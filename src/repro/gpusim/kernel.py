@@ -1,9 +1,12 @@
 """Execution context: one simulated kernel stream over a graph.
 
 Algorithms compute their values with honest vectorized numpy updates and
-call :meth:`ExecutionContext.charge` once per kernel sweep so the cost
+call :meth:`ExecutionContext.charge` once per kernel sweep (or
+:meth:`~ExecutionContext.charge_batch` for a pass of them) so the cost
 model accounts what that sweep *would* cost on the modeled GPU.  The
-context owns:
+context is the only place a sweep is priced (:meth:`~ExecutionContext.price`,
+:meth:`~ExecutionContext.price_batch`) and recorded
+(:meth:`~ExecutionContext.record`).  It owns:
 
 * the **processing order** — how node ids map to threads (Graffix's §4
   bucket sort changes this; everything else uses id order);
@@ -32,8 +35,8 @@ __all__ = ["ExecutionContext"]
 class ExecutionContext:
     """A simulated kernel stream bound to one graph and one device."""
 
-    #: edge count above which :meth:`charge_batch` charges a sweep on its
-    #: own instead of folding it into a concatenated batch
+    #: edge count at which :meth:`price_batch` prices a sweep on its own
+    #: instead of folding it into a concatenated batch
     BATCH_EAGER_EDGES = 4096
 
     def __init__(
@@ -71,7 +74,7 @@ class ExecutionContext:
         # lazily built full-graph expansion: topology-driven sweeps
         # (``charge(None)``) all expand the same graph-constant adjacency
         self._full_exp: SweepExpansion | None = None
-        # cached instruments: charge() runs once per sweep, so skip the
+        # cached instruments: record() runs once per sweep, so skip the
         # registry lookup on the hot path
         self._sweep_counter = obs_metrics.counter("solve.sweeps")
         self._cycle_counter = obs_metrics.counter("solve.sim_cycles")
@@ -104,7 +107,7 @@ class ExecutionContext:
             return np.sort(ids)
         return ids[np.argsort(self._rank[ids], kind="stable")]
 
-    def charge(
+    def price(
         self,
         active: np.ndarray | None = None,
         *,
@@ -113,7 +116,11 @@ class ExecutionContext:
         expansion=None,
         partition: str = "vertex",
     ) -> SweepCost:
-        """Account one sweep and add it to the ledger.
+        """The :class:`SweepCost` of one sweep, without recording it.
+
+        Every simulated charge is priced here (or in :meth:`price_batch`,
+        which prices the same way); subclasses that re-map sweeps onto
+        another structure override this one method.
 
         ``subgraph`` substitutes a different CSR structure (same node-id
         space) for this sweep — the §3 runner uses it to charge
@@ -135,32 +142,118 @@ class ExecutionContext:
         for the cost model (see
         :func:`~repro.gpusim.costmodel.charge_sweep`).
         """
-        graph = subgraph if subgraph is not None else self.graph
-        with obs_trace.span("solve.sweep") as sp:
-            active_ids = self.ordered(active)
-            if expansion is not None:
-                if not self._identity_order:
-                    expansion = None
-                elif not np.array_equal(active_ids, expansion.frontier):
-                    raise SimulationError(
-                        "expansion does not match the active list"
-                    )
-            elif active is None and subgraph is None and self._identity_order:
-                # a full sweep's expansion is graph-constant: build it
-                # once and reuse it for every topology-driven charge
-                expansion = self._full_expansion()
-            cost = charge_sweep(
-                graph,
+        active_ids = self.ordered(active)
+        if expansion is not None:
+            if not self._identity_order:
+                expansion = None
+            elif not np.array_equal(active_ids, expansion.frontier):
+                raise SimulationError("expansion does not match the active list")
+        elif active is None and subgraph is None and self._identity_order:
+            # a full sweep's expansion is graph-constant: build it once
+            # and reuse it for every topology-driven charge
+            expansion = self._full_expansion()
+        return charge_sweep(
+            subgraph if subgraph is not None else self.graph,
+            self.device,
+            active_ids,
+            resident_mask=None if all_shared else self.resident_mask,
+            all_shared=all_shared,
+            expansion=expansion,
+            partition=partition,
+        )
+
+    def price_batch(self, sweeps, *, partition: str = "vertex") -> list[SweepCost]:
+        """The costs of many sweeps from their precomputed expansions.
+
+        ``sweeps`` is a sequence of
+        :class:`~repro.perf.gather.SweepExpansion` over ``self.graph``,
+        one per sweep, each already in processing order.  Returns
+        exactly the costs :meth:`price` would return sweep by sweep, but
+        runs of small sweeps are priced in one vectorized
+        :func:`~repro.gpusim.costmodel.charge_sweeps_batched` pass, which
+        is what keeps accounting cheap for level-synchronous solvers.
+
+        With a non-identity processing order the expansions don't match
+        the warp assignment, so every sweep goes through :meth:`price`.
+        ``partition="edge"`` likewise prices per sweep — the batched
+        pricer models vertex-balanced warps only, and edge-balanced
+        schedules are exactly the ones whose huge dense sweeps would be
+        priced on their own anyway.
+
+        Sweeps at or above ``BATCH_EAGER_EDGES`` edges also go through
+        :meth:`price`: concatenating a huge expansion costs more than the
+        per-call overhead the batch saves.  The small sweeps are priced
+        together in chunks of about ``8 * BATCH_EAGER_EDGES`` records,
+        because the batched pricer's dominant step is one key sort over
+        every record in the call and chunks that size keep the sort in
+        cache instead of going superlinear.
+        """
+        batchable = self._identity_order and partition == "vertex"
+        eager_edges = self.BATCH_EAGER_EDGES
+        costs: list = [None] * len(sweeps)
+        run: list[int] = []
+        run_records = 0
+
+        def price_run() -> None:
+            priced = charge_sweeps_batched(
+                self.graph,
                 self.device,
-                active_ids,
-                resident_mask=None if all_shared else self.resident_mask,
+                [sweeps[k] for k in run],
+                resident_mask=self.resident_mask,
+            )
+            for k, cost in zip(run, priced):
+                costs[k] = cost
+            run.clear()
+
+        for k, exp in enumerate(sweeps):
+            records = exp.epos.size
+            if not batchable or records >= eager_edges:
+                costs[k] = self.price(exp.frontier, expansion=exp, partition=partition)
+                continue
+            run.append(k)
+            run_records += records
+            if run_records >= 8 * eager_edges:
+                price_run()
+                run_records = 0
+        if run:
+            price_run()
+        return costs
+
+    def record(self, costs) -> None:
+        """Add priced sweeps to the ledger, in sequence order.
+
+        The one ledger fold: :meth:`charge`, :meth:`charge_batch` and the
+        batched lane engine's replay all end here, so the accumulated
+        metrics and the ``solve.sweeps`` / ``solve.sim_cycles`` counters
+        are bit-identical however the sweeps were priced.
+        """
+        self.metrics.add_all(costs)
+        inc = self._cycle_counter.inc
+        for cost in costs:
+            # one increment per sweep keeps the counter's float bits
+            inc(cost.cycles)
+        self._sweep_counter.inc(len(costs))
+
+    def charge(
+        self,
+        active: np.ndarray | None = None,
+        *,
+        all_shared: bool = False,
+        subgraph: CSRGraph | None = None,
+        expansion=None,
+        partition: str = "vertex",
+    ) -> SweepCost:
+        """Price one sweep (:meth:`price`) and add it to the ledger."""
+        with obs_trace.span("solve.sweep") as sp:
+            cost = self.price(
+                active,
                 all_shared=all_shared,
+                subgraph=subgraph,
                 expansion=expansion,
                 partition=partition,
             )
             if sp is not None:
                 sp.set(
-                    active=int(active_ids.size),
                     cycles=cost.cycles,
                     serial_steps=cost.serial_steps,
                     edge_transactions=cost.edge_transactions,
@@ -169,10 +262,22 @@ class ExecutionContext:
                     atomic_ops=cost.atomic_ops,
                     shared=bool(all_shared),
                 )
-        self.metrics.add(cost)
-        self._sweep_counter.inc()
-        self._cycle_counter.inc(cost.cycles)
+        self.record((cost,))
         return cost
+
+    def charge_batch(self, sweeps, *, partition: str = "vertex") -> None:
+        """Price many sweeps (:meth:`price_batch`) and add them to the ledger.
+
+        The ledger ends up exactly as if :meth:`charge` had been called
+        once per sweep in sequence — same per-sweep costs, same
+        accumulation order, so the same bit pattern of accumulated float
+        cycles.
+        """
+        if not sweeps:
+            return
+        with obs_trace.span("solve.sweep_batch", sweeps=len(sweeps)):
+            costs = self.price_batch(sweeps, partition=partition)
+        self.record(costs)
 
     def _full_expansion(self) -> SweepExpansion:
         """The (cached) CSR expansion of every node in id order."""
@@ -188,76 +293,3 @@ class ExecutionContext:
                 g.indices.astype(np.int64),
             )
         return self._full_exp
-
-    def charge_batch(self, sweeps, *, partition: str = "vertex") -> None:
-        """Charge many sweeps from their precomputed expansions at once.
-
-        ``sweeps`` is a sequence of
-        :class:`~repro.perf.gather.SweepExpansion`, one per sweep, each
-        already in processing order.  The ledger ends up exactly as if
-        :meth:`charge` had been called once per sweep in sequence —
-        same per-sweep costs, same accumulation order — but the cost
-        model's work is vectorized across the whole batch, which is
-        what keeps accounting cheap for level-synchronous solvers.
-
-        With a non-identity processing order the expansions don't match
-        the warp assignment, so this degrades to per-sweep charging.
-        ``partition="edge"`` likewise charges per sweep — the batched
-        path models vertex-balanced warps only, and edge-balanced
-        schedules are exactly the ones whose huge dense sweeps the
-        batch would flush eagerly anyway.
-
-        Sweeps at or above ``BATCH_EAGER_EDGES`` edges are charged
-        eagerly even inside a batch: concatenating a huge expansion
-        costs more than the per-call overhead the batch saves, which
-        only pays off for runs of small frontiers.  The ledger order —
-        and with it the bit pattern of the accumulated float cycles —
-        is the per-sweep sequence either way.
-        """
-        if not sweeps:
-            return
-        if not self._identity_order or partition != "vertex":
-            for exp in sweeps:
-                self.charge(exp.frontier, expansion=exp, partition=partition)
-            return
-
-        run: list = []
-
-        def _flush() -> None:
-            if not run:
-                return
-            with obs_trace.span("solve.sweep_batch", sweeps=len(run)):
-                costs = charge_sweeps_batched(
-                    self.graph,
-                    self.device,
-                    run,
-                    resident_mask=self.resident_mask,
-                )
-            for cost in costs:
-                self._ledger(cost)
-            run.clear()
-
-        for exp in sweeps:
-            if exp.epos.size >= self.BATCH_EAGER_EDGES:
-                _flush()
-                self._ledger(
-                    charge_sweep(
-                        self.graph,
-                        self.device,
-                        exp.frontier,
-                        resident_mask=self.resident_mask,
-                        expansion=exp,
-                    )
-                )
-            else:
-                run.append(exp)
-        _flush()
-
-    def _ledger(self, cost: SweepCost) -> None:
-        self.metrics.add(cost)
-        self._sweep_counter.inc()
-        self._cycle_counter.inc(cost.cycles)
-
-    def charge_cost(self, cost: SweepCost) -> None:
-        """Add an externally computed cost (e.g. a host-side reduction)."""
-        self.metrics.add(cost)

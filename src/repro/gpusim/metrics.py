@@ -29,6 +29,32 @@ class SimMetrics:
         self.total = self.total + cost
         self.num_sweeps += 1
 
+    def add_all(self, costs) -> None:
+        """Record a sequence of sweeps, bit-identical to :meth:`add` each.
+
+        One pass with local accumulators instead of a
+        ``SweepCost.__add__`` chain: the int fields are exact either way,
+        and cycles add in the same left-to-right order, just without the
+        per-cost object churn.
+        """
+        t = self.total
+        ss, bl, il = t.serial_steps, t.busy_lane_steps, t.idle_lane_steps
+        et, ag = t.edge_transactions, t.attr_global_transactions
+        ash, st, ao = t.attr_shared_transactions, t.src_transactions, t.atomic_ops
+        cy = t.cycles
+        for c in costs:
+            ss += c.serial_steps
+            bl += c.busy_lane_steps
+            il += c.idle_lane_steps
+            et += c.edge_transactions
+            ag += c.attr_global_transactions
+            ash += c.attr_shared_transactions
+            st += c.src_transactions
+            ao += c.atomic_ops
+            cy += c.cycles
+        self.total = SweepCost(ss, bl, il, et, ag, ash, st, ao, cy)
+        self.num_sweeps += len(costs)
+
     def merge(self, other: "SimMetrics") -> None:
         """Fold another ledger (e.g. a sub-phase) into this one."""
         self.total = self.total + other.total

@@ -28,8 +28,10 @@ wall-clock benchmark:
 * :mod:`repro.perf.batched` — the multi-source sweep engine: S sources
   stacked into lane-tagged ``(S, n)`` state with one concatenated
   expansion per level (:func:`~repro.perf.batched.expand_lanes`),
-  per-lane charge attribution bit-identical to looped runs
-  (:class:`~repro.perf.batched.LaneLedger`), and the
+  per-lane charge attribution bit-identical to looped runs (lanes are
+  priced and recorded by the execution context like every other
+  charge; :class:`~repro.perf.batched.LaneLedger` keeps their order),
+  and the
   :func:`~repro.perf.batched.bfs_levels_batched` /
   :func:`~repro.perf.batched.sssp_batched` entry points behind BC's
   ``engine="batched"`` and the serve layer's batching window;

@@ -26,13 +26,16 @@ indistinguishable from its looped run.  Three facts make that exact:
   (:meth:`repro.perf.schedule.Schedule.decide`), so a lane's
   push/pull/partition sequence is identical whether it runs alone or
   stacked;
-* **exact charge decomposition** —
-  :func:`repro.gpusim.costmodel.charge_lane_sweeps` returns each lane's
-  :class:`~repro.gpusim.costmodel.SweepCost` bit-identical to its looped
-  ``charge_sweep``; :class:`LaneLedger` keeps the per-lane cost lists in
-  looped sweep order and replays them source-by-source into the
-  execution context, so totals *and* observability counters match the
-  looped engine byte for byte.
+* **exact charge decomposition** — lanes are priced by the execution
+  context itself (:meth:`~repro.gpusim.kernel.ExecutionContext.price`
+  and :meth:`~repro.gpusim.kernel.ExecutionContext.price_batch`, the
+  same pricing every looped charge goes through), so each lane's
+  :class:`~repro.gpusim.costmodel.SweepCost` is bit-identical to its
+  looped charge; :class:`LaneLedger` keeps the per-lane cost lists in
+  looped sweep order and hands them source by source to the context's
+  one ledger fold (:meth:`~repro.gpusim.kernel.ExecutionContext.record`),
+  so totals *and* observability counters match the looped engine byte
+  for byte.
 
 ``differential:batched`` (:mod:`repro.verify.differential`) enforces all
 three against the looped engine across the technique corpus.
@@ -51,7 +54,7 @@ import numpy as np
 
 from ..errors import AlgorithmError, SimulationError
 from ..graphs.properties import ragged_arange
-from ..gpusim.costmodel import SweepCost, charge_lane_sweeps, charge_sweep
+from ..gpusim.costmodel import SweepCost
 from ..gpusim.device import DeviceConfig, K40C
 from ..gpusim.metrics import SimMetrics
 from ..obs import metrics as obs_metrics
@@ -67,7 +70,6 @@ __all__ = [
     "charge_lane_level",
     "expand_lanes",
     "lane_sources",
-    "lane_sweep_cost",
     "sssp_batched",
 ]
 
@@ -143,63 +145,21 @@ def expand_lanes(
     return LaneExpansion(frontiers, e_src, e_dst, epos, rec_bounds, sweeps)
 
 
-def lane_sweep_cost(
-    ctx,
-    active,
-    *,
-    subgraph=None,
-    expansion=None,
-    partition: str = "vertex",
-    all_shared: bool = False,
-) -> SweepCost:
-    """The :class:`SweepCost` one :meth:`ExecutionContext.charge` call
-    would ledger, computed without touching the ledger.
-
-    Mirrors :meth:`~repro.gpusim.kernel.ExecutionContext.charge`
-    argument derivation exactly (ordering, expansion validation and the
-    identity-order full-expansion cache), so a lane charged through here
-    and later replayed via :meth:`LaneLedger.replay` is bit-identical to
-    a lane charged eagerly by the looped engine.
-    """
-    graph = subgraph if subgraph is not None else ctx.graph
-    active_ids = ctx.ordered(active)
-    if expansion is not None:
-        if not ctx._identity_order:
-            expansion = None
-        elif not np.array_equal(active_ids, expansion.frontier):
-            raise SimulationError("expansion does not match the active list")
-    elif active is None and subgraph is None and ctx._identity_order:
-        expansion = ctx._full_expansion()
-    return charge_sweep(
-        graph,
-        ctx.device,
-        active_ids,
-        resident_mask=None if all_shared else ctx.resident_mask,
-        all_shared=all_shared,
-        expansion=expansion,
-        partition=partition,
-    )
-
-
 class LaneLedger:
     """Per-lane :class:`SweepCost` lists in looped sweep order.
 
     Lane ``l``'s list is exactly the cost sequence its looped run would
-    ledger; :meth:`replay` feeds them to the context lane by lane in
+    ledger; :meth:`replay` hands them to the context lane by lane in
     source order, reproducing the looped engine's accumulated metrics
     (and ``solve.sweeps`` / ``solve.sim_cycles`` counters) bit for bit.
 
     Charges may be *deferred*: :meth:`defer` reserves the cost's slot in
     the lane's sequence and queues the expansion; :meth:`flush` prices
-    the whole queue at once, mirroring
-    :meth:`ExecutionContext.charge_batch
-    <repro.gpusim.kernel.ExecutionContext.charge_batch>` — one
-    :func:`~repro.gpusim.costmodel.charge_lane_sweeps` pass for runs of
-    small sweeps, the scalar hot path for sweeps at or above
-    ``BATCH_EAGER_EDGES`` records (concatenating a huge expansion costs
-    more than the per-call overhead it saves).  Slot reservation keeps
-    each lane's list in level order even when eager charges (pull or
-    edge-partitioned sweeps) interleave with deferred ones.
+    the whole queue with one
+    :meth:`~repro.gpusim.kernel.ExecutionContext.price_batch` call.
+    Slot reservation keeps each lane's list in level order even when
+    eager charges (pull or edge-partitioned sweeps) interleave with
+    deferred ones.
     """
 
     def __init__(self, num_lanes: int) -> None:
@@ -214,76 +174,13 @@ class LaneLedger:
         self._pending.append((lane, len(self.costs[lane]) - 1, expansion))
 
     def flush(self, ctx) -> None:
-        """Price all deferred sweeps (vertex-partition, identity order)."""
+        """Price all deferred (vertex-partitioned) sweeps."""
         if not self._pending:
             return
-        # runs of small sweeps are priced in record-bounded chunks: the
-        # batched coster's dominant step is a key sort over all records
-        # in the call, and chunks sized like the looped engine's per-pass
-        # flushes keep that sort in cache instead of going superlinear
-        chunk_records = ctx.BATCH_EAGER_EDGES * 8
-        run: list[tuple[int, int, SweepExpansion]] = []
-        run_records = 0
-
-        def _price_run() -> None:
-            nonlocal run_records
-            if not run:
-                return
-            priced = charge_lane_sweeps(
-                ctx.graph,
-                ctx.device,
-                [exp for _, _, exp in run],
-                resident_mask=ctx.resident_mask,
-            )
-            for (lane, slot, _), cost in zip(run, priced):
-                self.costs[lane][slot] = cost
-            run.clear()
-            run_records = 0
-
-        for lane, slot, exp in self._pending:
-            if exp.epos.size >= ctx.BATCH_EAGER_EDGES:
-                self.costs[lane][slot] = charge_sweep(
-                    ctx.graph,
-                    ctx.device,
-                    exp.frontier,
-                    resident_mask=ctx.resident_mask,
-                    expansion=exp,
-                )
-            else:
-                run.append((lane, slot, exp))
-                run_records += exp.epos.size
-                if run_records >= chunk_records:
-                    _price_run()
-        _price_run()
+        priced = ctx.price_batch([exp for _, _, exp in self._pending])
+        for (lane, slot, _), cost in zip(self._pending, priced):
+            self.costs[lane][slot] = cost
         self._pending.clear()
-
-    @staticmethod
-    def _fold(costs, base: SweepCost) -> SweepCost:
-        # one pass with local accumulators instead of a SweepCost.__add__
-        # chain: the int fields are exact either way, and cycles adds in
-        # the same left-to-right order starting from ``base``, so the
-        # total is bit-identical to SimMetrics.add-ing each cost in
-        # sequence — just without the per-cost object churn
-        ss = base.serial_steps
-        bl = base.busy_lane_steps
-        il = base.idle_lane_steps
-        et = base.edge_transactions
-        ag = base.attr_global_transactions
-        ash = base.attr_shared_transactions
-        st = base.src_transactions
-        ao = base.atomic_ops
-        cy = base.cycles
-        for c in costs:
-            ss += c.serial_steps
-            bl += c.busy_lane_steps
-            il += c.idle_lane_steps
-            et += c.edge_transactions
-            ag += c.attr_global_transactions
-            ash += c.attr_shared_transactions
-            st += c.src_transactions
-            ao += c.atomic_ops
-            cy += c.cycles
-        return SweepCost(ss, bl, il, et, ag, ash, st, ao, cy)
 
     def lane_metrics(self, device: DeviceConfig) -> list[SimMetrics]:
         if self._pending:
@@ -291,47 +188,29 @@ class LaneLedger:
         out = []
         for costs in self.costs:
             m = SimMetrics(device=device)
-            m.total = self._fold(costs, m.total)
-            m.num_sweeps = len(costs)
+            m.add_all(costs)
             out.append(m)
         return out
 
     def replay(self, ctx) -> None:
         if self._pending:
             raise SimulationError("lane ledger has unpriced deferred sweeps")
-        count = 0
-        for costs in self.costs:
-            # the cycle counter still advances cost by cost so its float
-            # bits match the looped engine's per-sweep increments
-            for cost in costs:
-                ctx._cycle_counter.inc(cost.cycles)
-            count += len(costs)
-        ctx.metrics.total = self._fold(
-            (c for costs in self.costs for c in costs), ctx.metrics.total
-        )
-        ctx.metrics.num_sweeps += count
-        ctx._sweep_counter.inc(count)
+        ctx.record([c for costs in self.costs for c in costs])
 
 
 def charge_lane_level(ctx, ledger: LaneLedger, lanes, sweeps, decisions) -> None:
     """Charge one stacked level: per-lane costs, appended in lane order.
 
-    Vertex-partitioned identity-order lanes defer to the ledger's
-    batched pricing pass (:meth:`LaneLedger.flush`); edge-balanced or
-    permuted-order lanes are priced eagerly (exactly the sweeps the
-    looped engine also charges one at a time).
+    Vertex-partitioned lanes defer to the ledger's batched pricing pass
+    (:meth:`LaneLedger.flush`); edge-balanced lanes are priced at once
+    (exactly the sweeps the looped engine also prices one at a time).
     """
-    parts = [
-        "vertex" if d is None else d.partition for d in decisions
-    ]
-    for lane, exp, part in zip(lanes, sweeps, parts):
-        if ctx._identity_order and part == "vertex":
+    for lane, exp, decision in zip(lanes, sweeps, decisions):
+        part = "vertex" if decision is None else decision.partition
+        if part == "vertex":
             ledger.defer(lane, exp)
         else:
-            ledger.add(
-                lane,
-                lane_sweep_cost(ctx, exp.frontier, expansion=exp, partition=part),
-            )
+            ledger.add(lane, ctx.price(exp.frontier, expansion=exp, partition=part))
     obs_metrics.counter("perf.batched.levels").inc()
     obs_metrics.counter("perf.batched.lane_sweeps").inc(len(lanes))
 
@@ -488,8 +367,7 @@ def bfs_levels_batched(
                 rexp = expand_frontier(pv.rev.offsets, rind, candidates)
                 ledger.add(
                     i,
-                    lane_sweep_cost(
-                        ctx,
+                    ctx.price(
                         candidates,
                         subgraph=pv.rev,
                         expansion=rexp,
@@ -657,8 +535,7 @@ def sssp_batched(
             if decision is None or decision.direction == "push":
                 edges = runner.edges
                 if cost is None:
-                    cost = lane_sweep_cost(
-                        ctx,
+                    cost = ctx.price(
                         None,
                         partition=(
                             "vertex" if decision is None else decision.partition
@@ -669,8 +546,7 @@ def sssp_batched(
                 pv = runner._pull_edges()
                 edges = pv
                 if cost is None:
-                    cost = lane_sweep_cost(
-                        ctx,
+                    cost = ctx.price(
                         None,
                         subgraph=pv.rev,
                         expansion=pv.full_expansion(),
@@ -731,8 +607,7 @@ def _cluster_rounds_lane(runner, ledger, lane, values, relax, cached) -> None:
     ):
         for _ in range(runner.plan.local_iterations):
             if cost is None:
-                cost = lane_sweep_cost(
-                    runner.ctx,
+                cost = runner.ctx.price(
                     runner._resident_nodes,
                     subgraph=runner.plan.cluster_graph,
                     all_shared=True,

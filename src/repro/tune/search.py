@@ -1,9 +1,9 @@
 """The offline auto-tuner behind ``python -m repro tune``.
 
 Per graph family (the :func:`~repro.graphs.generators.paper_suite`
-graphs), the tuner searches the knob × schedule space the way
-:mod:`repro.core.autotune` pioneered — guideline-seeded thresholds per
-technique, scored by simulator probes — then layers the adaptive
+graphs), the tuner searches the knob × schedule space — thresholds per
+technique seeded by the paper's §5.2–§5.4 guidelines, scored by
+simulator probes — then layers the adaptive
 controller (:mod:`repro.tune.controller`) over the winning static
 config and searches its gains.  The probe workload is SSSP from the
 max-out-degree hub, plus PageRank outside ``--quick``; all scoring uses
@@ -29,10 +29,19 @@ import math
 import numpy as np
 
 from ..cache import memo
-from ..core.autotune import _candidates, _plan_with_threshold
+from ..core.knobs import (
+    CoalescingKnobs,
+    DivergenceKnobs,
+    SharedMemoryKnobs,
+    recommended_cc_threshold,
+    recommended_connectedness,
+)
+from ..core.pipeline import ExecutionPlan, build_plan
+from ..errors import TransformError
 from ..eval.accuracy import attribute_inaccuracy
 from ..graphs.csr import CSRGraph
 from ..graphs.generators import paper_suite
+from ..graphs.properties import clustering_coefficients, gini_of_degrees
 from ..gpusim.device import DeviceConfig, K40C
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -81,6 +90,38 @@ _CONTROLLER_GRID_QUICK = _CONTROLLER_GRID[:2]
 #: BC source-sample candidates probed for the serve ladder's level-2 knob
 _BC_SOURCE_CANDIDATES = (6, 4, 2)
 _BC_REFERENCE_SOURCES = 8
+
+
+def _candidates(graph: CSRGraph, technique: str) -> list[float]:
+    """Guideline-seeded candidate thresholds for each technique."""
+    if technique == "coalescing":
+        seed = recommended_connectedness(gini_of_degrees(graph))
+        return sorted({max(0.1, seed - 0.2), seed, min(1.0, seed + 0.2)})
+    if technique == "shmem":
+        seed = recommended_cc_threshold(clustering_coefficients(graph))
+        return sorted({max(0.2, seed - 0.2), seed, min(0.95, seed + 0.1)})
+    if technique == "divergence":
+        return [0.1, 0.3, 0.5]
+    raise TransformError(f"the tuner does not handle technique {technique!r}")
+
+
+def _plan_with_threshold(
+    graph: CSRGraph, technique: str, thr: float, device: DeviceConfig
+) -> ExecutionPlan:
+    if technique == "coalescing":
+        return build_plan(
+            graph, technique, device=device,
+            coalescing=CoalescingKnobs(connectedness_threshold=thr),
+        )
+    if technique == "shmem":
+        return build_plan(
+            graph, technique, device=device,
+            shmem=SharedMemoryKnobs(cc_threshold=thr),
+        )
+    return build_plan(
+        graph, technique, device=device,
+        divergence=DivergenceKnobs(degree_sim_threshold=thr),
+    )
 
 
 def _hub(graph: CSRGraph) -> int:

@@ -9,6 +9,8 @@ from repro.baselines.tigr import TigrRunner, _TigrContext, virtual_split
 from repro.core.pipeline import build_plan
 from repro.algorithms.common import plan_for
 from repro.gpusim.device import K40C
+from repro.obs import metrics as obs_metrics
+from repro.perf.gather import expand_frontier
 
 
 class TestVirtualize:
@@ -88,6 +90,41 @@ class TestChargeSemantics:
             (plan.cluster_graph.offsets[resident + 1]
              - plan.cluster_graph.offsets[resident]).sum()
         )
+
+
+class TestBatchCharging:
+    """Tigr prices sweeps in one place: a batch charge must record the
+    same virtualised costs as charging each sweep on its own."""
+
+    def _sweeps(self, graph):
+        hub = int(np.argmax(graph.out_degrees()))
+        rng = np.random.default_rng(3)
+        idx = graph.indices.astype(np.int64)
+        fronts = [np.array([hub], dtype=np.int64)] + [
+            np.sort(rng.choice(graph.num_nodes, size=s, replace=False))
+            for s in (5, 40)
+        ]
+        return [expand_frontier(graph.offsets, idx, f) for f in fronts]
+
+    def test_charge_batch_equals_per_sweep_charges(self, twitter_small):
+        split = virtual_split(twitter_small, vmax=4)
+        sweeps = self._sweeps(twitter_small)
+        batched = _TigrContext(split, K40C)
+        batched.charge_batch(sweeps)
+        looped = _TigrContext(split, K40C)
+        for exp in sweeps:
+            looped.charge(exp.frontier)
+        assert batched.metrics.num_sweeps == looped.metrics.num_sweeps == 3
+        assert batched.metrics.total == looped.metrics.total
+
+    def test_charges_advance_solve_counters(self, tiny_graph):
+        ctx = _TigrContext(virtual_split(tiny_graph, vmax=4), K40C)
+        sweeps = obs_metrics.counter("solve.sweeps")
+        cycles = obs_metrics.counter("solve.sim_cycles")
+        s0, c0 = sweeps.value, cycles.value
+        cost = ctx.charge(None)
+        assert sweeps.value - s0 == 1
+        assert cycles.value - c0 == cost.cycles
 
 
 class TestRunnerIntegration:

@@ -110,17 +110,6 @@ class TestSimMetrics:
             assert key in s
 
 
-class TestChargeCost:
-    def test_external_cost_accumulates(self, tiny_graph):
-        from repro.gpusim.costmodel import SweepCost
-
-        ctx = ExecutionContext(tiny_graph)
-        ctx.charge_cost(SweepCost(cycles=123.0, atomic_ops=4))
-        assert ctx.metrics.cycles == 123.0
-        assert ctx.metrics.total.atomic_ops == 4
-        assert ctx.metrics.num_sweeps == 1
-
-
 class TestChargeBatch:
     """charge_batch must leave the ledger exactly as per-sweep charge()
     calls would, for every routing path (batched, eager-large, and the

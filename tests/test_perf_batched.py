@@ -208,6 +208,46 @@ class TestBatchedEquivalence:
         _assert_lane_equal(bb, 0, solo, "single lane")
 
 
+class TestEagerRoutedLanes:
+    """With every non-empty sweep over ``BATCH_EAGER_EDGES`` the lane
+    path prices through the scalar arm of ``ExecutionContext.price_batch``;
+    lanes must still match their looped runs exactly."""
+
+    @pytest.fixture(autouse=True)
+    def _force_eager(self, monkeypatch):
+        monkeypatch.setattr(ExecutionContext, "BATCH_EAGER_EDGES", 1)
+
+    @pytest.mark.parametrize("technique", ["exact", "divergence"])
+    @pytest.mark.parametrize("schedule", [None, "direction-optimizing"])
+    def test_bc_lanes_match_looped(self, road, technique, schedule):
+        target = road if technique == "exact" else build_plan(road, technique, device=DEV)
+        srcs = pick_sources(road.num_nodes, 4, 2)
+        bat = betweenness_centrality(
+            target, sources=srcs, engine="batched", device=DEV, schedule=schedule
+        )
+        ref = betweenness_centrality(
+            target, sources=srcs, engine="gather", device=DEV, schedule=schedule
+        )
+        assert bat.values.tobytes() == ref.values.tobytes()
+        assert bat.metrics.summary() == ref.metrics.summary()
+        assert bat.metrics.num_sweeps == ref.metrics.num_sweeps
+        for k, s in enumerate(srcs):
+            solo = betweenness_centrality(
+                target, sources=[int(s)], engine="gather", device=DEV,
+                schedule=schedule,
+            )
+            assert bat.aux["per_source_metrics"][k].summary() == solo.metrics.summary()
+            assert bat.aux["per_source_iterations"][k] == solo.iterations
+
+    @pytest.mark.parametrize("schedule", [None, "direction-optimizing"])
+    def test_sssp_lanes_match_looped(self, social, schedule):
+        srcs = [1, 2, 200]
+        sb = sssp_batched(social, srcs, device=DEV, schedule=schedule)
+        for k, s in enumerate(srcs):
+            solo = sssp(social, s, device=DEV, schedule=schedule)
+            _assert_lane_equal(sb, k, solo, f"sssp lane {k}/{schedule}")
+
+
 # ---------------------------------------------------------------------------
 @st.composite
 def _source_sets(draw, n):

@@ -7,11 +7,13 @@ import json
 import pytest
 
 from repro.cache import memo
+from repro.errors import TransformError
 from repro.graphs.generators import paper_suite
 from repro.gpusim.device import DeviceConfig
 from repro.obs.diff import diff_files, extract_series, load_comparable
 from repro.tune import run_tune, serve_overrides, tune_family
 from repro.tune.cli import main as tune_main
+from repro.tune.search import _candidates, _plan_with_threshold
 
 #: small device so the transforms do real work on the tiny suite
 DEVICE = DeviceConfig(warp_size=8, line_words=4, shared_mem_words=512)
@@ -28,6 +30,26 @@ def _memory_cache():
     memo.configure(cache_dir=None)
     yield
     memo.configure(cache_dir=None)
+
+
+class TestSearchHelpers:
+    def test_seeded_by_guidelines(self, suite):
+        """Candidate thresholds bracket the paper's guideline values."""
+        assert 0.4 in _candidates(suite["usa-road"], "coalescing")  # §5.2
+
+    def test_unknown_technique(self, suite):
+        with pytest.raises(TransformError):
+            _candidates(suite["rmat"], "prefetch")
+
+    @pytest.mark.parametrize("technique", ["coalescing", "shmem", "divergence"])
+    def test_threshold_plan_usable(self, suite, technique):
+        from repro.algorithms.sssp import sssp
+
+        graph = suite["rmat"]
+        thr = _candidates(graph, technique)[0]
+        plan = _plan_with_threshold(graph, technique, thr, DEVICE)
+        assert plan.technique == technique
+        assert sssp(plan, 0, device=DEVICE).values.size == graph.num_nodes
 
 
 class TestTuneFamily:
