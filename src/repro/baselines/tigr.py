@@ -97,9 +97,10 @@ def virtual_split(graph: CSRGraph, vmax: int = DEFAULT_VMAX) -> VirtualSplit:
 class _TigrContext(ExecutionContext):
     """Prices master-space activity as sweeps over the virtual graph.
 
-    Only :meth:`price` is overridden: charging, batch charging and the
-    ledger are the base context's, so every Tigr sweep is priced the
-    same way whichever path charges it.
+    Only :meth:`_price_sweep` is overridden: the full-sweep memo,
+    charging, batch charging and the ledger are the base context's, so
+    every Tigr sweep is priced the same way whichever path charges it,
+    and each full sweep of the virtual graph is priced once.
     """
 
     def __init__(
@@ -140,27 +141,14 @@ class _TigrContext(ExecutionContext):
         pos = np.arange(total, dtype=np.int64) - np.repeat(seg, counts)
         return np.repeat(vs[ids], counts) + pos
 
-    def price(
-        self,
-        active=None,
-        *,
-        all_shared=False,
-        subgraph=None,
-        expansion=None,
-        partition="vertex",
-    ):
+    def _price_sweep(self, active, all_shared, subgraph, expansion, partition):
         if subgraph is not None:
             # §3 cluster rounds and pull-schedule gathers stay in master
             # space: substituted structures are not virtual-split
-            ids = (
-                np.asarray(active, dtype=np.int64)
-                if active is not None
-                else np.arange(subgraph.num_nodes, dtype=np.int64)
-            )
             return charge_sweep(
                 subgraph,
                 self.device,
-                ids,
+                active,
                 all_shared=all_shared,
                 expansion=expansion,
                 partition=partition,

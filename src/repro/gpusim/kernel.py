@@ -12,7 +12,17 @@ context is the only place a sweep is priced (:meth:`~ExecutionContext.price`,
   bucket sort changes this; everything else uses id order);
 * the **residency mask** — which nodes' attributes live in simulated
   shared memory (§3's pinned clusters);
-* the accumulating :class:`~repro.gpusim.metrics.SimMetrics` ledger.
+* the accumulating :class:`~repro.gpusim.metrics.SimMetrics` ledger;
+* the **full-sweep memo** — a topology-driven sweep (``active=None``)
+  costs the same every time it runs, because everything it depends on
+  besides ``(subgraph, all_shared, partition)`` is fixed at construction
+  (graph, device, processing order, resident mask; nothing may mutate
+  them afterwards).  :meth:`~ExecutionContext.price` prices each such
+  key once and hands back the same frozen
+  :class:`~repro.gpusim.costmodel.SweepCost` thereafter, so the ledger
+  is bit-identical to re-pricing while SSSP/WCC fixed points, PageRank,
+  MST rounds and Baseline-I kernels stop paying the cost model on every
+  iteration.
 """
 
 from __future__ import annotations
@@ -71,13 +81,19 @@ class ExecutionContext:
                 raise SimulationError("resident_mask length must equal num_nodes")
         self.resident_mask = resident_mask
         self.metrics = SimMetrics(device=device)
-        # lazily built full-graph expansion: topology-driven sweeps
-        # (``charge(None)``) all expand the same graph-constant adjacency
+        # lazily built full-graph expansion, shared by the full-sweep
+        # memo's misses over ``self.graph``
         self._full_exp: SweepExpansion | None = None
+        # full-sweep memo: (id(subgraph), all_shared, partition) ->
+        # (subgraph, cost).  Holding the subgraph keeps it alive, so its
+        # id() cannot be recycled while its key is in the memo.
+        self._full_costs: dict[tuple, tuple[CSRGraph | None, SweepCost]] = {}
         # cached instruments: record() runs once per sweep, so skip the
         # registry lookup on the hot path
         self._sweep_counter = obs_metrics.counter("solve.sweeps")
         self._cycle_counter = obs_metrics.counter("solve.sim_cycles")
+        self._memo_hit = obs_metrics.counter("gpusim.full_sweep_memo.hit")
+        self._memo_miss = obs_metrics.counter("gpusim.full_sweep_memo.miss")
 
     @property
     def order(self) -> np.ndarray:
@@ -119,8 +135,11 @@ class ExecutionContext:
         """The :class:`SweepCost` of one sweep, without recording it.
 
         Every simulated charge is priced here (or in :meth:`price_batch`,
-        which prices the same way); subclasses that re-map sweeps onto
-        another structure override this one method.
+        which prices the same way).  A full sweep (``active=None``) is
+        priced once per ``(subgraph, all_shared, partition)`` and the
+        same frozen cost is returned on every later call: its inputs
+        (graph, device, processing order, resident mask) are fixed when
+        the context is built.  Frontier sweeps are priced on every call.
 
         ``subgraph`` substitutes a different CSR structure (same node-id
         space) for this sweep — the §3 runner uses it to charge
@@ -136,21 +155,44 @@ class ExecutionContext:
         when the processing order is the identity — under a permuted
         order the expansion the cost model needs differs from the
         solver's and it is silently ignored.  A non-matching expansion
-        raises.
+        raises, on a memoised full sweep too.
 
         ``partition`` selects vertex- or edge-balanced warp assignment
         for the cost model (see
-        :func:`~repro.gpusim.costmodel.charge_sweep`).
+        :func:`~repro.gpusim.costmodel.charge_sweep`); an unknown one
+        raises on every call.
+        """
+        if active is not None:
+            return self._price_sweep(active, all_shared, subgraph, expansion, partition)
+        key = (id(subgraph), all_shared, partition)
+        memo = self._full_costs.get(key)
+        if memo is None:
+            cost = self._price_sweep(None, all_shared, subgraph, expansion, partition)
+            self._full_costs[key] = (subgraph, cost)
+            self._memo_miss.inc()
+            return cost
+        self._usable_expansion(self._order, expansion)  # raises on a mismatch
+        self._memo_hit.inc()
+        return memo[1]
+
+    def _price_sweep(
+        self,
+        active: np.ndarray | None,
+        all_shared: bool,
+        subgraph: CSRGraph | None,
+        expansion,
+        partition: str,
+    ) -> SweepCost:
+        """Price one sweep with the cost model (:meth:`price` minus the memo).
+
+        Subclasses that re-map sweeps onto another structure override
+        this one method; the full-sweep memo in :meth:`price` then
+        covers them too.
         """
         active_ids = self.ordered(active)
-        if expansion is not None:
-            if not self._identity_order:
-                expansion = None
-            elif not np.array_equal(active_ids, expansion.frontier):
-                raise SimulationError("expansion does not match the active list")
-        elif active is None and subgraph is None and self._identity_order:
-            # a full sweep's expansion is graph-constant: build it once
-            # and reuse it for every topology-driven charge
+        expansion = self._usable_expansion(active_ids, expansion)
+        if active is None and subgraph is None and self._identity_order:
+            # shared by every full-sweep key over ``self.graph``
             expansion = self._full_expansion()
         return charge_sweep(
             subgraph if subgraph is not None else self.graph,
@@ -161,6 +203,15 @@ class ExecutionContext:
             expansion=expansion,
             partition=partition,
         )
+
+    def _usable_expansion(self, active_ids: np.ndarray, expansion):
+        """``expansion`` if the cost model may use it (checked against
+        ``active_ids``), else ``None``."""
+        if expansion is None or not self._identity_order:
+            return None
+        if not np.array_equal(active_ids, expansion.frontier):
+            raise SimulationError("expansion does not match the active list")
+        return expansion
 
     def price_batch(self, sweeps, *, partition: str = "vertex") -> list[SweepCost]:
         """The costs of many sweeps from their precomputed expansions.

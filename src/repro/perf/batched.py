@@ -491,9 +491,10 @@ def sssp_batched(
     metrics — to ``sssp(plan, sources[l], ...)`` with the same schedule.
     Full sweeps are graph-constant, so the schedule's decision sequence
     is shared across lanes (every active lane is always at the same
-    iteration index) and each decision's cost is computed once and
-    attributed to every lane still running.  Convergence — the exact
-    changed flag or the replica-plan envelope/margin rule of
+    iteration index) and each level's full-sweep cost (priced once per
+    key by the context's memo) is attributed to every lane still
+    running.  Convergence — the exact changed flag or the replica-plan
+    envelope/margin rule of
     :meth:`Runner.fixed_point <repro.algorithms.common.Runner.fixed_point>`
     — and the §3 cluster rounds run per lane.
     """
@@ -517,7 +518,8 @@ def sssp_batched(
     envelope = dist2.copy() if approximate else None
     iterations = np.zeros(num_lanes, dtype=np.int64)
     ledger = LaneLedger(num_lanes)
-    sweep_costs: dict = {}
+    # a §3 cluster round prices the same resident set every time
+    cluster_cost = None
     active = list(range(num_lanes))
     obs_metrics.counter("perf.batched.runs").inc()
     obs_metrics.counter("perf.batched.lanes").inc(num_lanes)
@@ -531,28 +533,21 @@ def sssp_batched(
             # full sweeps are graph-constant: one decision for all lanes,
             # identical to each lane's looped sequence by purity of decide()
             decision = runner._decide(None)
-            cost = sweep_costs.get(decision)
             if decision is None or decision.direction == "push":
                 edges = runner.edges
-                if cost is None:
-                    cost = ctx.price(
-                        None,
-                        partition=(
-                            "vertex" if decision is None else decision.partition
-                        ),
-                    )
-                    sweep_costs[decision] = cost
+                cost = ctx.price(
+                    None,
+                    partition="vertex" if decision is None else decision.partition,
+                )
             else:
                 pv = runner._pull_edges()
                 edges = pv
-                if cost is None:
-                    cost = ctx.price(
-                        None,
-                        subgraph=pv.rev,
-                        expansion=pv.full_expansion(),
-                        partition=decision.partition,
-                    )
-                    sweep_costs[decision] = cost
+                cost = ctx.price(
+                    None,
+                    subgraph=pv.rev,
+                    expansion=pv.full_expansion(),
+                    partition=decision.partition,
+                )
             act = np.asarray(active, dtype=np.int64)
             changed = _relax_lanes(edges, dist2, dist_flat, act, n)
             for i in active:
@@ -581,9 +576,15 @@ def sssp_batched(
                 and plan.has_clusters
                 and runner.cluster_edges is not None
             ):
+                if cluster_cost is None:
+                    cluster_cost = ctx.price(
+                        runner._resident_nodes,
+                        subgraph=plan.cluster_graph,
+                        all_shared=True,
+                    )
                 for i in cont:
                     _cluster_rounds_lane(
-                        runner, ledger, i, dist2[i], sssp_relax, sweep_costs
+                        runner, ledger, i, dist2[i], sssp_relax, cluster_cost
                     )
             active = [i for i in cont if iterations[i] < max_iterations]
 
@@ -599,20 +600,12 @@ def sssp_batched(
     )
 
 
-def _cluster_rounds_lane(runner, ledger, lane, values, relax, cached) -> None:
-    """The §3 local iterations for one lane (cost is round-constant)."""
-    cost = cached.get("cluster")
+def _cluster_rounds_lane(runner, ledger, lane, values, relax, cost) -> None:
+    """The §3 local iterations for one lane (``cost`` is round-constant)."""
     with obs_trace.span(
         "solve.cluster_rounds", local_iterations=runner.plan.local_iterations
     ):
         for _ in range(runner.plan.local_iterations):
-            if cost is None:
-                cost = runner.ctx.price(
-                    runner._resident_nodes,
-                    subgraph=runner.plan.cluster_graph,
-                    all_shared=True,
-                )
-                cached["cluster"] = cost
             ledger.add(lane, cost)
             changed = relax(runner.cluster_edges, values)
             runner.confluence(values)

@@ -145,3 +145,30 @@ class TestRunnerIntegration:
             virtualized.metrics.total.idle_lane_steps
             < master.metrics.total.idle_lane_steps
         )
+
+
+class TestFullSweepMemo:
+    """Tigr overrides only the sweep pricer, so its full sweeps go
+    through the base context's memo."""
+
+    def test_virtual_graph_priced_once(self, rmat_small, monkeypatch):
+        import repro.baselines.tigr as tigr
+
+        plan = build_plan(rmat_small, "shmem")
+        runner = TigrRunner(plan, K40C)
+        ctx = runner.ctx
+        original = tigr.charge_sweep
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tigr, "charge_sweep", counted)
+        virtual = runner.split.graph
+        everyone = np.arange(virtual.num_nodes, dtype=np.int64)
+        want = original(virtual, K40C, everyone, resident_mask=ctx.resident_mask)
+        costs = [ctx.charge(None) for _ in range(4)]
+        assert calls == [virtual]
+        assert all(cost == want for cost in costs)
+        assert ctx.metrics.num_sweeps == 4

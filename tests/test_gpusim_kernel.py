@@ -233,3 +233,140 @@ class TestFullSweepExpansionCache:
         assert got == charge_sweep(
             sub, K40C, np.arange(sub.num_nodes, dtype=np.int64)
         )
+
+
+class TestFullSweepMemo:
+    """``price`` prices each full-sweep key once per context; every later
+    ``charge(None)`` reuses the same frozen cost, so the ledger and the
+    counters match re-pricing bit for bit."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        import repro.gpusim.kernel as kernel
+
+        calls = []
+        original = kernel.charge_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("partition"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "charge_sweep", counted)
+        return calls
+
+    @staticmethod
+    def _counter(name):
+        from repro.obs import metrics as obs_metrics
+
+        return obs_metrics.counter(name)
+
+    def test_ledger_bit_equal_to_sequential_adds(self, rmat_small):
+        from repro.gpusim.costmodel import charge_sweep
+
+        rng = np.random.default_rng(41)
+        mask = rng.random(rmat_small.num_nodes) < 0.3
+        everyone = np.arange(rmat_small.num_nodes, dtype=np.int64)
+        sweeps = self._counter("solve.sweeps")
+        cycles = self._counter("solve.sim_cycles")
+        ctx = ExecutionContext(rmat_small, K40C, resident_mask=mask)
+        expected = SimMetrics(device=K40C)
+        s0, c0 = sweeps.value, cycles.value
+        want_cycles = c0
+        for _ in range(6):
+            ctx.charge(None)
+            cost = charge_sweep(rmat_small, K40C, everyone, resident_mask=mask)
+            expected.add(cost)
+            want_cycles += cost.cycles
+        assert ctx.metrics.num_sweeps == expected.num_sweeps == 6
+        assert ctx.metrics.total == expected.total
+        assert ctx.metrics.cycles == expected.cycles
+        assert sweeps.value - s0 == 6
+        assert cycles.value == want_cycles
+
+    def test_hit_returns_same_cost_object(self, rmat_small):
+        ctx = ExecutionContext(rmat_small, K40C)
+        assert ctx.price(None) is ctx.charge(None) is ctx.charge(None)
+
+    def test_cost_model_called_once_per_key(self, rmat_small, monkeypatch):
+        calls = self._counting(monkeypatch)
+        hits = self._counter("gpusim.full_sweep_memo.hit")
+        misses = self._counter("gpusim.full_sweep_memo.miss")
+        h0, m0 = hits.value, misses.value
+        ctx = ExecutionContext(rmat_small, K40C)
+        for _ in range(4):
+            ctx.charge(None)
+            ctx.charge(None, partition="edge")
+            ctx.charge(None, all_shared=True)
+        assert calls == ["vertex", "edge", "vertex"]
+        assert misses.value - m0 == 3
+        assert hits.value - h0 == 9
+        # frontier sweeps are priced on every call
+        frontier = np.array([0, 1], dtype=np.int64)
+        ctx.charge(frontier)
+        ctx.charge(frontier)
+        assert len(calls) == 5
+        assert misses.value - m0 == 3
+
+    def test_keys_never_alias(self, rmat_small):
+        from repro.gpusim.costmodel import charge_sweep
+        from repro.perf.edgeshare import PullEdgeView
+
+        g = rmat_small
+        rng = np.random.default_rng(42)
+        mask = rng.random(g.num_nodes) < 0.4
+        everyone = np.arange(g.num_nodes, dtype=np.int64)
+        rev = PullEdgeView(g).rev
+        ctx = ExecutionContext(g, K40C, resident_mask=mask)
+        cases = [
+            ({}, charge_sweep(g, K40C, everyone, resident_mask=mask)),
+            (
+                {"partition": "edge"},
+                charge_sweep(g, K40C, everyone, resident_mask=mask, partition="edge"),
+            ),
+            ({"all_shared": True}, charge_sweep(g, K40C, everyone, all_shared=True)),
+            (
+                {"subgraph": rev},
+                charge_sweep(rev, K40C, everyone, resident_mask=mask),
+            ),
+            (
+                {"subgraph": rev, "partition": "edge"},
+                charge_sweep(rev, K40C, everyone, resident_mask=mask, partition="edge"),
+            ),
+        ]
+        assert len({want for _, want in cases}) == len(cases)
+        for _ in range(2):  # the second round is all memo hits
+            for kwargs, want in cases:
+                assert ctx.charge(None, **kwargs) == want
+
+        order = rng.permutation(g.num_nodes).astype(np.int64)
+        permuted = ExecutionContext(g, K40C, order=order)
+        unmasked = ExecutionContext(g, K40C)
+        for _ in range(2):
+            assert permuted.charge(None) == charge_sweep(g, K40C, order)
+            assert unmasked.charge(None) == charge_sweep(g, K40C, everyone)
+        assert permuted.charge(None) != unmasked.charge(None)
+        assert unmasked.charge(None) != ctx.charge(None)
+
+    def test_mismatched_expansion_raises_on_hit(self, tiny_graph):
+        ctx = ExecutionContext(tiny_graph, K40C)
+        idx = tiny_graph.indices.astype(np.int64)
+        everyone = np.arange(tiny_graph.num_nodes, dtype=np.int64)
+        full = expand_frontier(tiny_graph.offsets, idx, everyone)
+        partial = expand_frontier(tiny_graph.offsets, idx, everyone[:2])
+        ctx.charge(None)
+        ctx.charge(None, expansion=full)  # a matching one is accepted
+        with pytest.raises(SimulationError):
+            ctx.charge(None, expansion=partial)
+        assert ctx.metrics.num_sweeps == 2
+
+    def test_unknown_partition_raises_every_call(self, tiny_graph, monkeypatch):
+        calls = self._counting(monkeypatch)
+        misses = self._counter("gpusim.full_sweep_memo.miss")
+        m0 = misses.value
+        ctx = ExecutionContext(tiny_graph, K40C)
+        for _ in range(3):
+            with pytest.raises(SimulationError):
+                ctx.charge(None, partition="diagonal")
+        assert len(calls) == 3
+        assert misses.value == m0
+        assert ctx.metrics.num_sweeps == 0
