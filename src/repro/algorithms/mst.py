@@ -6,6 +6,15 @@ edge, the selected edges join the forest, and components merge — all
 component-parallel, which maps directly onto warp execution.  Each round
 is one charged sweep.
 
+Each round is a fixed number of whole-array steps, with no loop over
+edges: edges are ranked once by (weight, edge id), every component's
+minimum crossing edge is a ``np.minimum.at`` over those ranks, and all
+winners hook at once — the connected components of the winner edges over
+the current roots, each group taking its smallest root.  The order is
+strict, so the winners always form a forest, and every root stays its
+component's minimum node id; the picked edges are reported in ascending
+edge id within a round.
+
 The graph is treated as undirected for MST purposes (edge ``u -> v`` is
 traversable both ways at the same weight; duplicate directions keep the
 minimum weight).  On a Graffix-transformed plan, replicas are pre-merged
@@ -18,8 +27,11 @@ the relative difference of forest weights.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..core.pipeline import ExecutionPlan
+from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
 from .common import AlgorithmResult, Runner, plan_for
@@ -46,18 +58,6 @@ def _undirected_min_edges(
     return lo[first], hi[first], w[first]
 
 
-def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized root lookup with full path compression."""
-    roots = nodes.copy()
-    while True:
-        grand = parent[roots]
-        done = grand == roots
-        if done.all():
-            break
-        roots = grand
-    return roots
-
-
 def mst(
     graph_or_plan: CSRGraph | ExecutionPlan,
     *,
@@ -78,73 +78,68 @@ def mst(
 
     u, v, w = _undirected_min_edges(graph)
 
-    # alias edges: replicas must live in their original's component
+    # alias edges: replicas must live in their original's component, so
+    # each group member connects to the group's first slot at weight 0
     if plan.graffix is not None:
-        slots, gids, _sizes = plan.graffix.replica_groups()
-        if slots.size:
-            # connect each group member to the group's first slot at weight 0
-            firsts = np.zeros(int(gids.max()) + 1, dtype=np.int64)
-            seen = np.zeros(int(gids.max()) + 1, dtype=bool)
-            for slot, g in zip(slots, gids):
-                if not seen[g]:
-                    firsts[g] = slot
-                    seen[g] = True
-            extra_u = np.minimum(slots, firsts[gids])
-            extra_v = np.maximum(slots, firsts[gids])
-            nz = extra_u != extra_v
-            u = np.concatenate([u, extra_u[nz]])
-            v = np.concatenate([v, extra_v[nz]])
-            w = np.concatenate([w, np.zeros(int(nz.sum()))])
+        slots, _gids, _sizes = plan.graffix.replica_groups()
+        firsts = plan.graffix.replica_group_firsts()
+        extra_u = np.minimum(slots, firsts)
+        extra_v = np.maximum(slots, firsts)
+        nz = extra_u != extra_v
+        u = np.concatenate([u, extra_u[nz]])
+        v = np.concatenate([v, extra_v[nz]])
+        w = np.concatenate([w, np.zeros(int(nz.sum()))])
 
-    parent = np.arange(n, dtype=np.int64)
-    chosen: list[int] = []
-    total_weight = 0.0
+    # (weight, edge id) is a strict order: every component's minimum
+    # crossing edge is unique, so each round's winners form a forest
+    m = u.size
+    by_rank = np.argsort(w, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_rank] = np.arange(m, dtype=np.int64)
+
+    comp = np.arange(n, dtype=np.int64)  # root of each node = its min id
+    live = np.arange(m, dtype=np.int64)  # edges not yet inside a component
+    chosen: list[np.ndarray] = []
     rounds = 0
-    alive = np.ones(u.size, dtype=bool)
-    max_rounds = max(1, int(np.ceil(np.log2(max(n, 2)))) + 2)
-
-    while rounds < max_rounds + n:  # n guard is unreachable in practice
+    while True:
         rounds += 1
         runner.ctx.charge(None)
-        ru = _find(parent, u[alive])
-        rv = _find(parent, v[alive])
+        ru, rv = comp[u[live]], comp[v[live]]
         cross = ru != rv
         if not cross.any():
             break
-        idx_alive = np.nonzero(alive)[0]
-        keep_idx = idx_alive[cross]
-        ru, rv = ru[cross], rv[cross]
-        ws = w[keep_idx]
-        # per-component minimum outgoing edge (deterministic tie-break by
-        # edge index, which also prevents the classic Boruvka cycle issue
-        # with equal weights)
-        comp_keys = np.concatenate([ru, rv])
-        edge_ids = np.concatenate([keep_idx, keep_idx])
-        weights2 = np.concatenate([ws, ws])
-        order = np.lexsort((edge_ids, weights2, comp_keys))
-        ck = comp_keys[order]
-        first = np.ones(ck.size, dtype=bool)
-        first[1:] = ck[1:] != ck[:-1]
-        winners = np.unique(edge_ids[order[first]])
-        for e in winners:
-            a = int(_find(parent, np.array([u[e]]))[0])
-            b = int(_find(parent, np.array([v[e]]))[0])
-            if a == b:
-                continue
-            parent[max(a, b)] = min(a, b)
-            chosen.append(int(e))
-            total_weight += float(w[e])
-        # retire intra-component edges
-        ru2 = _find(parent, u[alive])
-        rv2 = _find(parent, v[alive])
-        alive_idx = np.nonzero(alive)[0]
-        alive[alive_idx[ru2 == rv2]] = False
+        live, ru, rv = live[cross], ru[cross], rv[cross]
+        r = rank[live]
+        best = np.full(n, m, dtype=np.int64)
+        np.minimum.at(best, ru, r)
+        np.minimum.at(best, rv, r)
+        winners = np.unique(by_rank[best[best < m]])  # ascending edge id
+        # hook every winner at once: each group of roots joined by this
+        # round's winners takes its smallest root as the new root
+        num_groups, group = connected_components(
+            coo_matrix(
+                (np.ones(winners.size), (comp[u[winners]], comp[v[winners]])),
+                shape=(n, n),
+            ),
+            directed=False,
+        )
+        if n - num_groups != winners.size:
+            raise AlgorithmError(
+                f"Borůvka round {rounds}: {winners.size} winning edges "
+                f"merged {n - num_groups} components; they must form a forest"
+            )
+        _, smallest = np.unique(group, return_index=True)
+        comp = smallest[group][comp]
+        chosen.append(winners)
 
-    labels = _find(parent, np.arange(n, dtype=np.int64))
-    values = plan.lower(labels.astype(np.float64))
-    edges_out = np.asarray(
-        [(int(u[e]), int(v[e]), float(w[e])) for e in chosen], dtype=np.float64
-    ).reshape(-1, 3)
+    picked = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    # one addition at a time in pick order, as a running sum (np.sum's
+    # pairwise summation would change the low bits)
+    total_weight = float(np.cumsum(np.concatenate([[0.0], w[picked]]))[-1])
+    values = plan.lower(comp.astype(np.float64))
+    edges_out = np.column_stack([u[picked], v[picked], w[picked]]).astype(
+        np.float64
+    )
     return AlgorithmResult(
         values=values,
         metrics=runner.metrics,

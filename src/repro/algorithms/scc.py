@@ -74,14 +74,10 @@ def scc(
     # node's out-edges onto its (in-edge-less) replica would *break*
     # strong connectivity that confluence preserves on the real execution
     if plan.graffix is not None:
-        slots, gids, _sizes = plan.graffix.replica_groups()
+        slots, _gids, _sizes = plan.graffix.replica_groups()
         if slots.size:
-            firsts = np.full(int(gids.max()) + 1, -1, dtype=np.int64)
-            for slot, gid in zip(slots.tolist(), gids.tolist()):
-                if firsts[gid] < 0:
-                    firsts[gid] = slot
             pair_a = slots
-            pair_b = firsts[gids]
+            pair_b = plan.graffix.replica_group_firsts()
             keep = pair_a != pair_b
             extra_src = np.concatenate([pair_a[keep], pair_b[keep]])
             extra_dst = np.concatenate([pair_b[keep], pair_a[keep]])

@@ -146,6 +146,13 @@ class GraffixGraph:
                 self._groups = (empty, empty, empty)
         return self._groups
 
+    def replica_group_firsts(self) -> np.ndarray:
+        """The first member slot of each entry's group, parallel to the
+        ``slots`` array of :meth:`replica_groups`."""
+        slots, gids, _sizes = self.replica_groups()
+        _, starts = np.unique(gids, return_index=True)
+        return slots[starts][gids]
+
 
 def transform_graph(
     graph: CSRGraph, knobs: CoalescingKnobs | None = None

@@ -136,3 +136,106 @@ class TestMSTApproximate:
         exact_w = minimum_spanning_forest_weight(g)
         approx_w = minimum_spanning_forest_weight(plan)
         assert approx_w >= exact_w - 1e-9
+
+
+def _tie_heavy_graph(seed: int, weighted: bool) -> CSRGraph:
+    """A sparse random digraph whose weights come from {1, 2, 3} (or are
+    all 1), so (weight, edge id) order decides most Borůvka picks."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    m = int(rng.integers(0, 3 * n))
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    w = rng.integers(1, 4, m).astype(np.float64) if weighted else None
+    return CSRGraph.from_edges(n, src, dst, w)
+
+
+def _components(n: int, src, dst) -> tuple[int, np.ndarray]:
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
+
+    mat = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    return csgraph.connected_components(mat, directed=False)
+
+
+def _assert_forest(n: int, edges: np.ndarray) -> None:
+    """``edges`` rows (u, v, w) are acyclic: each one joins two components."""
+    ends = edges[:, :2].astype(np.int64)
+    ncomp, _ = _components(n, ends[:, 0], ends[:, 1])
+    assert ncomp == n - edges.shape[0]
+
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+class TestMSTTieHeavy:
+    """Weights from {1, 2, 3}, or none at all: ties everywhere, broken by
+    edge id.  Checked against scipy, not against an older MST loop."""
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_exact_matches_scipy(self, seed, weighted):
+        g = _tie_heavy_graph(seed, weighted)
+        res = mst(g)
+        ncomp, ref_labels = _components(g.num_nodes, g.edge_sources(), g.indices)
+        assert res.aux["weight"] == pytest.approx(
+            exact_msf_weight(g), rel=1e-12, abs=0
+        )
+        edges = res.aux["edges"]
+        _assert_forest(g.num_nodes, edges)
+        assert edges.shape == (g.num_nodes - ncomp, 3)
+        assert _same_partition(res.values.astype(np.int64), ref_labels)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_coalescing_plan_matches_contracted_scipy(self, social_small, weighted):
+        """Zero-weight alias edges tie with each other; the forest of a
+        coalesced plan must weigh what scipy finds on the graph with every
+        replica contracted into its original."""
+        from repro.core.knobs import CoalescingKnobs
+
+        g = social_small
+        if not weighted:
+            g = CSRGraph.from_edges(
+                g.num_nodes, g.edge_sources(), g.indices.astype(np.int64)
+            )
+        plan = build_plan(
+            g, "coalescing", coalescing=CoalescingKnobs(connectedness_threshold=0.2)
+        )
+        gg = plan.graffix
+        assert gg.replica_groups()[0].size > 0
+        res = mst(plan)
+        contracted = CSRGraph.from_edges(
+            gg.num_original,
+            gg.rep_of[plan.graph.edge_sources()],
+            gg.rep_of[plan.graph.indices],
+            plan.graph.weights,
+        )
+        _, ref_labels = _components(
+            contracted.num_nodes, contracted.edge_sources(), contracted.indices
+        )
+        assert res.aux["weight"] == pytest.approx(
+            exact_msf_weight(contracted), rel=1e-12, abs=0
+        )
+        _assert_forest(plan.graph.num_nodes, res.aux["edges"])
+        assert _same_partition(res.values.astype(np.int64), ref_labels)
+
+    def test_merge_check_raises_when_winners_close_a_cycle(self, monkeypatch):
+        """The per-round forest check is a guard, not dead code: a merge
+        step that merges fewer components than it has winners raises."""
+        import importlib
+
+        from repro.errors import AlgorithmError
+
+        # the package re-exports the function under the module's name
+        mst_mod = importlib.import_module("repro.algorithms.mst")
+
+        def no_merges(matrix, directed):
+            n = matrix.shape[0]
+            return n, np.arange(n)
+
+        monkeypatch.setattr(mst_mod, "connected_components", no_merges)
+        g = CSRGraph.from_edges(3, [0, 1], [1, 2], [1.0, 1.0])
+        with pytest.raises(AlgorithmError, match="forest"):
+            mst(g)

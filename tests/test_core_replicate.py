@@ -163,6 +163,20 @@ class TestTransformGraphDriver:
             assert len(owners) == 1
             assert len(members) >= 2
 
+    def test_replica_group_firsts(self, social_small):
+        gg = transform_graph(
+            social_small, CoalescingKnobs(connectedness_threshold=0.2)
+        )
+        slots, gids, _sizes = gg.replica_groups()
+        firsts = gg.replica_group_firsts()
+        assert firsts.shape == slots.shape
+        assert slots.size > 0
+        for gid in np.unique(gids):
+            members = slots[gids == gid]
+            # the first slot listed for a group is also its smallest
+            assert (firsts[gids == gid] == members[0]).all()
+            assert members[0] == members.min()
+
     def test_extra_space_fraction_positive(self, rmat_small, coalesced_plan):
         frac = coalesced_plan.graffix.extra_space_fraction(rmat_small)
         assert 0.0 <= frac < 1.0
