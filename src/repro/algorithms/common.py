@@ -168,6 +168,12 @@ class Runner:
         """
         return bool(delta > tol)
 
+    def check_level(self) -> None:
+        """Called once per level by solvers that drive their own levels
+        (BC) instead of :meth:`sweep`; a no-op here, the seam where
+        :class:`~repro.serve.deadline.DeadlineRunner` checks its request
+        deadline."""
+
     def confluence(self, values: np.ndarray, operator: str | None = None) -> None:
         """Merge replica values (no-op for plans without replicas)."""
         if self.plan.graffix is not None:

@@ -8,9 +8,7 @@ package closes that gap with three shared primitives plus a tracked
 wall-clock benchmark:
 
 * :mod:`repro.perf.gather` — O(frontier-edges) CSR gathers
-  (:func:`~repro.perf.gather.frontier_edges`) and the per-source
-  level-bucketed edge index (:class:`~repro.perf.gather.LevelBuckets`)
-  that replaces per-level full-edge masks in BC's backward pass;
+  (:func:`~repro.perf.gather.frontier_edges`);
 * :mod:`repro.perf.workspace` — a :class:`~repro.perf.workspace.WorkspacePool`
   of reusable scratch buffers and the touched-destinations change
   detector :func:`~repro.perf.workspace.scatter_min_changed`, eliminating
@@ -28,19 +26,21 @@ wall-clock benchmark:
 * :mod:`repro.perf.batched` — the multi-source sweep engine: S sources
   stacked into lane-tagged ``(S, n)`` state with one concatenated
   expansion per level (:func:`~repro.perf.batched.expand_lanes`),
-  per-lane charge attribution bit-identical to looped runs (lanes are
-  priced and recorded by the execution context like every other
-  charge; :class:`~repro.perf.batched.LaneLedger` keeps their order),
-  and the
+  per-lane charges bit-identical to solo runs (lanes are priced and
+  recorded by the execution context like every other charge;
+  :class:`~repro.perf.batched.LaneLedger` keeps their order), and the
   :func:`~repro.perf.batched.bfs_levels_batched` /
-  :func:`~repro.perf.batched.sssp_batched` entry points behind BC's
-  ``engine="batched"`` and the serve layer's batching window;
+  :func:`~repro.perf.batched.sssp_batched` entry points behind the
+  serve layer's batching window.  BC's one engine
+  (:func:`repro.algorithms.bc.betweenness_centrality`) is built on the
+  same stacking;
 * :mod:`repro.perf.bench` — ``python -m repro perf``, the kernel
   benchmark that emits ``BENCH_PR4.json`` and gates regressions in CI.
 
-:mod:`repro.perf.reference` preserves the pre-engine reference paths so
-the equivalence suite can prove the engine returns byte-identical values
-and identical simulated-cycle charges.
+:mod:`repro.perf.reference` preserves the pre-engine SSSP/WCC reference
+paths so the equivalence suite can prove the engine returns
+byte-identical values and identical simulated-cycle charges; BC is
+pinned by ``tests/bc_golden.json`` and the networkx oracle instead.
 
 Everything is observable: ``perf.gather.*`` and
 ``perf.workspace.{reuse,alloc}`` counters plus ``perf.*`` spans feed
@@ -57,7 +57,7 @@ from .batched import (
     sssp_batched,
 )
 from .edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
-from .gather import LevelBuckets, frontier_edges
+from .gather import frontier_edges
 from .schedule import (
     DirectionOptimizing,
     Explicit,
@@ -76,7 +76,6 @@ __all__ = [
     "FixedPush",
     "LaneExpansion",
     "LaneLedger",
-    "LevelBuckets",
     "PullEdgeView",
     "Schedule",
     "SweepDecision",

@@ -7,20 +7,20 @@ into *lanes*: state lives in ``(S, n)`` C-contiguous arrays whose flat
 view puts lane ``l``'s node ``v`` at ``l * n + v``, frontiers stay
 per-lane sparse id arrays, and each level runs **one** concatenated CSR
 gather plus **one** flat scatter across every active lane
-(:func:`expand_lanes`).  BC's ``engine="batched"``
+(:func:`expand_lanes`).  BC's one engine
 (:func:`repro.algorithms.bc.betweenness_centrality`) and the
 :func:`bfs_levels_batched` / :func:`sssp_batched` entry points here are
 built on it; the serve layer's batching window
 (:mod:`repro.serve.batching`) cashes it in for same-graph query bursts.
 
 The engine is an optimization, not an approximation — every lane must be
-indistinguishable from its looped run.  Three facts make that exact:
+indistinguishable from its solo run.  Three facts make that exact:
 
 * **disjoint rows** — lane ``l``'s scatter targets live in
   ``[l*n, (l+1)*n)``; ``np.add.at`` / ``np.minimum.at`` accumulation
   order only matters per element, and within a lane the concatenated
-  records keep the looped run's global CSR edge order, so every float
-  accumulates in the looped bit pattern;
+  records keep the solo run's global CSR edge order, so every float
+  accumulates in the solo bit pattern;
 * **per-lane decisions** — schedule decisions are pure functions of
   lane-local frontier stats plus the lane's previous decision
   (:meth:`repro.perf.schedule.Schedule.decide`), so a lane's
@@ -29,16 +29,17 @@ indistinguishable from its looped run.  Three facts make that exact:
 * **exact charge decomposition** — lanes are priced by the execution
   context itself (:meth:`~repro.gpusim.kernel.ExecutionContext.price`
   and :meth:`~repro.gpusim.kernel.ExecutionContext.price_batch`, the
-  same pricing every looped charge goes through), so each lane's
+  same pricing every solo charge goes through), so each lane's
   :class:`~repro.gpusim.costmodel.SweepCost` is bit-identical to its
-  looped charge; :class:`LaneLedger` keeps the per-lane cost lists in
-  looped sweep order and hands them source by source to the context's
+  solo charge; :class:`LaneLedger` keeps the per-lane cost lists in
+  solo sweep order and hands them source by source to the context's
   one ledger fold (:meth:`~repro.gpusim.kernel.ExecutionContext.record`),
-  so totals *and* observability counters match the looped engine byte
-  for byte.
+  so totals *and* observability counters match S solo runs byte for
+  byte.  (BC logs each lane's sweeps instead and charges the logs
+  source by source after its passes.)
 
 ``differential:batched`` (:mod:`repro.verify.differential`) enforces all
-three against the looped engine across the technique corpus.
+three against single-source runs across the technique corpus.
 
 Memory model: dense lane state is ``S × n`` words per attribute, while
 frontiers stay per-lane sparse — the expansion cost is the sum of lane
@@ -95,6 +96,15 @@ class LaneExpansion:
         self.rec_bounds = rec_bounds
         self.sweeps = sweeps
 
+    def row_offsets(self, lanes, n: int):
+        """Each record's lane-row offset ``lane * n`` for flat state
+        indexing — a scalar when one lane holds every record."""
+        if len(lanes) == 1:
+            return int(lanes[0]) * n
+        return np.repeat(
+            np.asarray(lanes, dtype=np.int64) * n, np.diff(self.rec_bounds)
+        )
+
 
 def expand_lanes(
     offsets: np.ndarray, indices: np.ndarray, frontiers
@@ -139,9 +149,6 @@ def expand_lanes(
                 e_dst[rb0:rb1],
             )
         )
-    obs_metrics.counter("perf.batched.expansions").inc()
-    obs_metrics.counter("perf.batched.expansion_lanes").inc(len(frontiers))
-    obs_metrics.counter("perf.batched.expansion_edges").inc(total)
     return LaneExpansion(frontiers, e_src, e_dst, epos, rec_bounds, sweeps)
 
 
@@ -211,8 +218,16 @@ def charge_lane_level(ctx, ledger: LaneLedger, lanes, sweeps, decisions) -> None
             ledger.defer(lane, exp)
         else:
             ledger.add(lane, ctx.price(exp.frontier, expansion=exp, partition=part))
-    obs_metrics.counter("perf.batched.levels").inc()
-    obs_metrics.counter("perf.batched.lane_sweeps").inc(len(lanes))
+
+
+def count_run(**tallies) -> None:
+    """Add one run's tallies to the ``perf.batched.*`` counters.
+
+    Runs tally locally and count once at the end: a registry lookup per
+    counter per level is a measurable share of a one-lane level.
+    """
+    for name, amount in tallies.items():
+        obs_metrics.counter(f"perf.batched.{name}").inc(amount)
 
 
 @dataclass
@@ -327,8 +342,7 @@ def bfs_levels_batched(
     ledger = LaneLedger(num_lanes)
     active = [i for i in range(num_lanes) if frontiers[i].size]
     depth = 0
-    obs_metrics.counter("perf.batched.runs").inc()
-    obs_metrics.counter("perf.batched.lanes").inc(num_lanes)
+    levels = lane_sweeps = expansions = expansion_edges = 0
 
     with obs_trace.span(
         "perf.batched.bfs", lanes=num_lanes, technique=plan.technique
@@ -382,11 +396,9 @@ def bfs_levels_batched(
                 lx = expand_lanes(
                     offsets, indices, [frontiers[i] for i in push_lanes]
                 )
-                row_off = np.repeat(
-                    np.asarray(push_lanes, dtype=np.int64) * n,
-                    np.diff(lx.rec_bounds),
-                )
-                flat_dst = lx.e_dst + row_off
+                expansions += 1
+                expansion_edges += int(lx.rec_bounds[-1])
+                flat_dst = lx.e_dst + lx.row_offsets(push_lanes, n)
                 fresh_mask = level_flat[flat_dst] < 0
                 fresh_flat = flat_dst[fresh_mask]
                 if fresh_flat.size:
@@ -404,6 +416,8 @@ def bfs_levels_batched(
                     lx.sweeps,
                     [decisions[i] for i in push_lanes],
                 )
+            levels += 1
+            lane_sweeps += len(active)
             still = []
             for i in active:
                 lv = level2[i]
@@ -430,6 +444,14 @@ def bfs_levels_batched(
             active = still
             depth += 1
 
+    count_run(
+        runs=1,
+        lanes=num_lanes,
+        levels=levels,
+        lane_sweeps=lane_sweeps,
+        expansions=expansions,
+        expansion_edges=expansion_edges,
+    )
     ledger.flush(ctx)
     values = np.empty((num_lanes, plan.num_original))
     for i in range(num_lanes):
@@ -521,8 +543,7 @@ def sssp_batched(
     # a §3 cluster round prices the same resident set every time
     cluster_cost = None
     active = list(range(num_lanes))
-    obs_metrics.counter("perf.batched.runs").inc()
-    obs_metrics.counter("perf.batched.lanes").inc(num_lanes)
+    levels = lane_sweeps = 0
 
     with obs_trace.span(
         "perf.batched.sssp", lanes=num_lanes, technique=plan.technique
@@ -553,8 +574,8 @@ def sssp_batched(
             for i in active:
                 iterations[i] += 1
                 ledger.add(i, cost)
-            obs_metrics.counter("perf.batched.levels").inc()
-            obs_metrics.counter("perf.batched.lane_sweeps").inc(len(active))
+            levels += 1
+            lane_sweeps += len(active)
             cont = []
             if approximate:
                 for i in active:
@@ -588,6 +609,7 @@ def sssp_batched(
                     )
             active = [i for i in cont if iterations[i] < max_iterations]
 
+    count_run(runs=1, lanes=num_lanes, levels=levels, lane_sweeps=lane_sweeps)
     values = np.stack([plan.lower(dist2[i]) for i in range(num_lanes)])
     lane_metrics = ledger.lane_metrics(device)
     ledger.replay(ctx)

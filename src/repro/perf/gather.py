@@ -13,11 +13,6 @@ global CSR edge order — exactly the order a full-edge boolean mask would
 have produced.  Scatter updates (``np.add.at`` / ``np.minimum.at``)
 applied to the gathered records therefore accumulate in the same order
 as the pre-engine full-scan code, and float results match bit for bit.
-
-:class:`LevelBuckets` is the backward-pass companion: one stable argsort
-of the edge array by a per-edge integer key (BC uses the source's BFS
-level) buys O(1) lookup of each level's contiguous edge-id bucket,
-replacing a full-edge mask per level with a slice per level.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from ..graphs.properties import ragged_arange
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-__all__ = ["LevelBuckets", "SweepExpansion", "expand_frontier", "frontier_edges"]
+__all__ = ["SweepExpansion", "expand_frontier", "frontier_edges"]
 
 
 class SweepExpansion:
@@ -122,35 +117,3 @@ def _expand(
     e_dst = indices[epos].astype(np.int64, copy=False)
     return SweepExpansion(frontier, degs, step, epos, np.repeat(frontier, degs), e_dst)
 
-
-class LevelBuckets:
-    """Edge ids bucketed by an integer per-edge key (e.g. source level).
-
-    Built once per BC source from ``level[src]``: a single stable argsort
-    groups the edge ids of each key value into a contiguous run, and
-    :meth:`at` returns the run for one key as an ascending edge-id array
-    — the same ids, in the same order, that the pre-engine code obtained
-    from a full-edge ``(key == k)`` mask, at O(bucket) instead of O(E)
-    per lookup.
-
-    Keys may include negative sentinels (unvisited sources); those edges
-    land in buckets :meth:`at` is simply never asked for.
-    """
-
-    def __init__(self, keys: np.ndarray) -> None:
-        keys = np.asarray(keys)
-        with obs_trace.span("perf.gather.bucket_build", edges=int(keys.size)):
-            # stable sort keeps edge ids ascending within each key's
-            # run, preserving the full-mask iteration order
-            self._order = np.argsort(keys, kind="stable")
-            self._sorted = keys[self._order]
-        obs_metrics.counter("perf.gather.bucket_builds").inc()
-
-    def at(self, key: int) -> np.ndarray:
-        """Ascending edge ids whose key equals ``key`` (may be empty)."""
-        lo = int(np.searchsorted(self._sorted, key, side="left"))
-        hi = int(np.searchsorted(self._sorted, key, side="right"))
-        if hi <= lo:
-            return np.empty(0, dtype=np.int64)
-        # stable sort ⇒ ids within one key's run are already ascending
-        return self._order[lo:hi]

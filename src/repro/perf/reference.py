@@ -2,13 +2,11 @@
 
 The frontier-gather engine's hard constraint is *byte-identical outputs
 and identical simulated-cycle charges*: only host wall-clock may change.
-This module preserves the pre-refactor host paths —
+This module preserves the pre-refactor SSSP/WCC host paths —
 
-* full-array snapshot change detection in the SSSP/WCC relax callbacks
+* full-array snapshot change detection in the relax callbacks
   (``dist.copy()`` / ``labels.copy()`` per sweep);
-* the ``values.copy()`` + ``array_equal`` fixed-point loop;
-* BC's per-level ``np.isin`` full-edge scan (via
-  ``betweenness_centrality(engine="reference")``)
+* the ``values.copy()`` + ``array_equal`` fixed-point loop
 
 — so the equivalence suite (``tests/test_perf_equivalence.py``) can
 assert the engine matches them bit for bit, and ``python -m repro perf``
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..algorithms.bc import betweenness_centrality
 from ..algorithms.common import (
     MAX_ITERATIONS,
     AlgorithmResult,
@@ -33,7 +30,6 @@ from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
 
 __all__ = [
-    "bc_reference",
     "fixed_point_reference",
     "sssp_reference",
     "sssp_relax_reference",
@@ -158,10 +154,3 @@ def wcc_reference(
         iterations=iterations,
         aux={"num_components": num_components},
     )
-
-
-def bc_reference(
-    graph_or_plan: CSRGraph | ExecutionPlan, **kwargs
-) -> AlgorithmResult:
-    """BC through the pre-engine ``np.isin`` full-edge-scan path."""
-    return betweenness_centrality(graph_or_plan, engine="reference", **kwargs)

@@ -94,8 +94,8 @@ class DeadlineRunner(Runner):
 
     Algorithms accept a ``runner_factory``, so deadline propagation
     reaches inside SSSP/PR/BC fixed-point loops without the algorithms
-    knowing about serving: each global sweep and each block of cluster
-    rounds costs one monotonic clock read.
+    knowing about serving: each global sweep, each block of cluster
+    rounds and each BC level costs one monotonic clock read.
     """
 
     def __init__(self, plan, device, *, deadline: Deadline) -> None:
@@ -109,6 +109,9 @@ class DeadlineRunner(Runner):
     def cluster_rounds(self, values, relax):
         self.deadline.check("cluster_rounds")
         return super().cluster_rounds(values, relax)
+
+    def check_level(self) -> None:
+        self.deadline.check("sweep")
 
 
 def deadline_runner_factory(deadline: Deadline):

@@ -384,7 +384,8 @@ class GraphService:
         if seed < 0:
             raise ProtocolError("seed must be >= 0")
 
-        def solo(nd: int, dl: Deadline) -> float:
+        def scores(nodes: list[int], dl: Deadline) -> list[float]:
+            # one BC run answers every node in a batch-window group
             res = betweenness_centrality(
                 plan,
                 num_sources=num_sources,
@@ -392,24 +393,14 @@ class GraphService:
                 device=self.config.device,
                 runner_factory=deadline_runner_factory(dl),
             )
-            return float(res.values[nd])
+            return [float(res.values[nd]) for nd in nodes]
+
+        def solo(nd: int, dl: Deadline) -> float:
+            return scores([nd], dl)[0]
 
         if self.batcher is not None and batch_key is not None:
-            # one BC run answers every node in the group, and the batched
-            # engine stacks its sampled sources into one sweep besides
-            def batch(nodes: list[int], dl: Deadline) -> list[float]:
-                res = betweenness_centrality(
-                    plan,
-                    num_sources=num_sources,
-                    seed=seed,
-                    engine="batched",
-                    device=self.config.device,
-                    runner_factory=deadline_runner_factory(dl),
-                )
-                return [float(res.values[nd]) for nd in nodes]
-
             key = ("bc_node",) + batch_key + (num_sources, seed)
-            score, lanes = self.batcher.run(key, node, deadline, batch, solo)
+            score, lanes = self.batcher.run(key, node, deadline, scores, solo)
         else:
             score, lanes = solo(node, deadline), 1
 

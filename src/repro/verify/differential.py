@@ -4,8 +4,9 @@ Two independent paths to the same answer must agree *byte for byte* —
 both in solver values and in the simulated cost charges — or one of them
 is wrong:
 
-* :func:`check_bc_engines` — the PR 4 frontier-gather BC engine against
-  the preserved reference path;
+* :func:`check_bc_oracle` — BC scores on an exact plan against the
+  independent networkx Brandes oracle
+  (:func:`repro.algorithms.exact.exact_bc`);
 * :func:`check_cache_differential` — an uncached plan build against a
   cold-store build and a warm disk-tier reload (``--cache-dir``);
 * :func:`check_serial_parallel` — ``TableRunner``'s in-process sweep
@@ -18,7 +19,8 @@ is wrong:
   (:mod:`repro.perf.batched`) against per-source loops: every lane's
   values, iteration count, and cost-model charges must be byte-equal to
   the corresponding solo run, over adversarial source sets (single
-  source, pairs, duplicates, more than half the graph).
+  source, pairs, duplicates, more than half the graph); an S-source BC
+  run must equal its sources run one by one on a shared runner.
 
 ``preprocess_seconds`` is the one field deliberately excluded from plan
 comparisons: it is wall-clock and legitimately differs between runs.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..algorithms.bc import betweenness_centrality, pick_sources
+from ..algorithms.common import AlgorithmResult, Runner, plan_for
 from ..algorithms.sssp import sssp
 from ..cache import memo
 from ..core.pipeline import ExecutionPlan, build_plan
@@ -40,7 +43,8 @@ from .invariants import Violation
 
 __all__ = [
     "check_batched",
-    "check_bc_engines",
+    "check_bc_lanes",
+    "check_bc_oracle",
     "check_cache_differential",
     "check_schedules",
     "check_serial_parallel",
@@ -141,25 +145,31 @@ def _results_identical(a, b, what: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-def check_bc_engines(
+def check_bc_oracle(
     graph: CSRGraph,
     *,
-    technique: str = "exact",
     seed: int = 0,
     device: DeviceConfig = K40C,
 ) -> list[Violation]:
-    """``engine="gather"`` and ``engine="reference"`` must match exactly."""
-    target: CSRGraph | ExecutionPlan = graph
-    if technique != "exact":
-        target = build_plan(graph, technique, device=device)
+    """Exact-plan BC scores must match networkx-based Brandes.
+
+    :func:`~repro.algorithms.exact.exact_bc` shares no code with the
+    stacked kernel; the scores agree to float reassociation.
+    """
+    from ..algorithms.exact import exact_bc
+
     sources = pick_sources(graph.num_nodes, min(4, graph.num_nodes), seed)
-    gather = betweenness_centrality(
-        target, sources=sources, engine="gather", device=device
-    )
-    reference = betweenness_centrality(
-        target, sources=sources, engine="reference", device=device
-    )
-    return _results_identical(gather, reference, f"bc_engines.{technique}")
+    got = betweenness_centrality(graph, sources=sources, device=device).values
+    want = exact_bc(graph, sources)
+    if np.allclose(got, want, rtol=1e-9, atol=1e-9):
+        return []
+    worst = int(np.argmax(np.abs(got - want)))
+    return [
+        Violation(
+            "oracle.bc",
+            f"node {worst}: kernel {got[worst]!r} vs oracle {want[worst]!r}",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +285,10 @@ def check_batched(
     :func:`~repro.perf.batched.sssp_batched` must match the corresponding
     single-source run byte-for-byte — values, iteration count, *and* the
     per-lane cost-model charges (the batched charging theorem, checked
-    rather than assumed).  For BC, ``engine="batched"`` must reproduce
-    ``engine="gather"`` exactly, including the per-source metrics in
-    ``aux``.  Source sets are chosen adversarially: a single source, a
-    pair, a set with duplicate sources, and one covering more than half
-    the graph.
+    rather than assumed).  For BC, an S-source run must equal the same
+    sources run one by one (:func:`check_bc_lanes`).  Source sets
+    are chosen adversarially: a single source, a pair, a set with
+    duplicate sources, and one covering more than half the graph.
     """
     from ..algorithms.bfs import bfs
     from ..perf.batched import bfs_levels_batched, sssp_batched
@@ -312,41 +321,46 @@ def check_batched(
                 v += _lane_violations(bb, k, solo_bfs, f"{tag}.bfs")
                 v += _lane_violations(sb, k, solo_sssp, f"{tag}.sssp")
 
-        srcs = source_sets[-1][1]
-        ref = betweenness_centrality(
-            target, sources=srcs, engine="gather", device=device,
-            schedule=schedule,
-        )
-        bat = betweenness_centrality(
-            target, sources=srcs, engine="batched", device=device,
-            schedule=schedule,
-        )
-        v += _results_identical(bat, ref, f"batched.{technique}.{sched_tag}.bc")
-        for k, s in enumerate(srcs):
-            solo = betweenness_centrality(
-                target, sources=[int(s)], engine="gather", device=device,
-                schedule=schedule,
+        for set_name, srcs in source_sets[2:]:  # dup, wide
+            v += check_bc_lanes(
+                target, srcs, device=device, schedule=schedule,
+                what=f"batched.{technique}.{sched_tag}.{set_name}.bc",
             )
-            sa = bat.aux["per_source_metrics"][k].summary()
-            ss = solo.metrics.summary()
-            if sa != ss:
-                keys = sorted(
-                    x for x in set(sa) | set(ss) if sa.get(x) != ss.get(x)
-                )
-                v.append(
-                    Violation(
-                        f"differential.batched.{technique}.{sched_tag}.bc",
-                        f"lane {k} per-source charges differ on {keys}",
-                    )
-                )
-            if bat.aux["per_source_iterations"][k] != solo.iterations:
-                v.append(
-                    Violation(
-                        f"differential.batched.{technique}.{sched_tag}.bc",
-                        f"lane {k} iteration count differs",
-                    )
-                )
     return v
+
+
+def check_bc_lanes(
+    target: CSRGraph | ExecutionPlan,
+    sources,
+    *,
+    device: DeviceConfig = K40C,
+    what: str = "bc_lanes",
+    **bc_kwargs,
+) -> list[Violation]:
+    """An S-source BC run against its sources run one by one.
+
+    The solo runs share one runner, so its ledger folds their charges in
+    source order — the S-lane run's ledger must match it bit for bit.
+    Scores are per-source dependency sums added in source order, so the
+    running sum of the solo scores must match byte for byte too.
+    ``bc_kwargs`` (``schedule``, ``topology_driven``) go to every run.
+    """
+    plan = plan_for(target)
+    stacked = betweenness_centrality(
+        plan, sources=sources, device=device, **bc_kwargs
+    )
+    shared = Runner(plan, device)
+    values = np.zeros(plan.num_original)
+    iterations = 0
+    for s in sources:
+        solo = betweenness_centrality(
+            plan, sources=[int(s)], device=device,
+            runner_factory=lambda p, d: shared, **bc_kwargs,
+        )
+        values += solo.values
+        iterations += solo.iterations
+    looped = AlgorithmResult(values, shared.metrics, iterations)
+    return _results_identical(stacked, looped, what)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ in the commit)::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from digests import metrics_digest, sha256, write_golden
 
 from repro.algorithms.mst import mst
 from repro.core.pipeline import build_plan
@@ -41,32 +41,16 @@ CELLS = [
 ]
 
 
-def _sha256(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-
-
 def _digest(graph, technique: str) -> dict:
     res = mst(graph if technique == "exact" else build_plan(graph, technique))
-    t = res.metrics.total
     return {
         "weight": float(res.aux["weight"]).hex(),
         "rounds": int(res.aux["rounds"]),
         "iterations": int(res.iterations),
-        "edges_sha256": _sha256(res.aux["edges"]),
+        "edges_sha256": sha256(res.aux["edges"]),
         "num_edges": int(res.aux["edges"].shape[0]),
-        "values_sha256": _sha256(res.values),
-        "metrics": {
-            "num_sweeps": int(res.metrics.num_sweeps),
-            "serial_steps": int(t.serial_steps),
-            "busy_lane_steps": int(t.busy_lane_steps),
-            "idle_lane_steps": int(t.idle_lane_steps),
-            "edge_transactions": int(t.edge_transactions),
-            "attr_global_transactions": int(t.attr_global_transactions),
-            "attr_shared_transactions": int(t.attr_shared_transactions),
-            "src_transactions": int(t.src_transactions),
-            "atomic_ops": int(t.atomic_ops),
-            "cycles": float(t.cycles).hex(),
-        },
+        "values_sha256": sha256(res.values),
+        "metrics": metrics_digest(res.metrics),
     }
 
 
@@ -110,11 +94,7 @@ def test_mst_matches_golden(golden, suites, weighting, name, technique):
 def _record() -> None:
     suites = _suites()
     table = {_key(w, n, t): _digest(suites[w][n], t) for w, n, t in CELLS}
-    lines = [
-        f" {json.dumps(key)}: {json.dumps(table[key], sort_keys=True)}"
-        for key in sorted(table)
-    ]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    write_golden(GOLDEN, table)
 
 
 if __name__ == "__main__":

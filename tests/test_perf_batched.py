@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.bc import betweenness_centrality, pick_sources
+from repro.algorithms.bc import pick_sources
 from repro.algorithms.bfs import bfs
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
@@ -32,6 +32,7 @@ from repro.perf.batched import (
     sssp_batched,
 )
 from repro.perf.gather import expand_frontier
+from repro.verify.differential import check_bc_lanes
 
 from strategies import adversarial_graphs
 
@@ -174,33 +175,15 @@ class TestBatchedEquivalence:
             _assert_lane_equal(sb, k, solo, f"sssp lane {k} {technique}/{schedule}")
 
     @pytest.mark.parametrize("schedule", [None, "pull", "direction-optimizing"])
-    def test_bc_batched_engine_matches_gather(self, road, schedule):
+    def test_bc_lanes_match_solo_runs(self, road, schedule):
         srcs = pick_sources(road.num_nodes, 5, 0)
-        ref = betweenness_centrality(
-            road, sources=srcs, engine="gather", device=DEV, schedule=schedule
-        )
-        bat = betweenness_centrality(
-            road, sources=srcs, engine="batched", device=DEV, schedule=schedule
-        )
-        assert bat.values.tobytes() == ref.values.tobytes()
-        assert bat.iterations == ref.iterations
-        assert bat.metrics.summary() == ref.metrics.summary()
-        assert bat.metrics.num_sweeps == ref.metrics.num_sweeps
+        assert check_bc_lanes(road, srcs, device=DEV, schedule=schedule) == []
 
     def test_bc_per_source_attribution(self, road):
+        """Each source's charges are exactly its solo run's, ledgered in
+        source order."""
         srcs = pick_sources(road.num_nodes, 4, 1)
-        bat = betweenness_centrality(
-            road, sources=srcs, engine="batched", device=DEV
-        )
-        for k, s in enumerate(srcs):
-            solo = betweenness_centrality(
-                road, sources=[int(s)], engine="gather", device=DEV
-            )
-            assert (
-                bat.aux["per_source_metrics"][k].summary()
-                == solo.metrics.summary()
-            )
-            assert bat.aux["per_source_iterations"][k] == solo.iterations
+        assert check_bc_lanes(road, srcs, device=DEV) == []
 
     def test_single_lane_equals_solo(self, road):
         bb = bfs_levels_batched(road, [42], device=DEV)
@@ -222,22 +205,7 @@ class TestEagerRoutedLanes:
     def test_bc_lanes_match_looped(self, road, technique, schedule):
         target = road if technique == "exact" else build_plan(road, technique, device=DEV)
         srcs = pick_sources(road.num_nodes, 4, 2)
-        bat = betweenness_centrality(
-            target, sources=srcs, engine="batched", device=DEV, schedule=schedule
-        )
-        ref = betweenness_centrality(
-            target, sources=srcs, engine="gather", device=DEV, schedule=schedule
-        )
-        assert bat.values.tobytes() == ref.values.tobytes()
-        assert bat.metrics.summary() == ref.metrics.summary()
-        assert bat.metrics.num_sweeps == ref.metrics.num_sweeps
-        for k, s in enumerate(srcs):
-            solo = betweenness_centrality(
-                target, sources=[int(s)], engine="gather", device=DEV,
-                schedule=schedule,
-            )
-            assert bat.aux["per_source_metrics"][k].summary() == solo.metrics.summary()
-            assert bat.aux["per_source_iterations"][k] == solo.iterations
+        assert check_bc_lanes(target, srcs, device=DEV, schedule=schedule) == []
 
     @pytest.mark.parametrize("schedule", [None, "direction-optimizing"])
     def test_sssp_lanes_match_looped(self, social, schedule):

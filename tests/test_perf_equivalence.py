@@ -3,9 +3,11 @@
 The ``repro.perf`` engine is a pure host-side optimisation: for every
 solver it must produce **byte-identical values, identical iteration
 counts, and identical SimMetrics charges** to the pre-refactor reference
-paths preserved in :mod:`repro.perf.reference`.  These tests pin that
-contract across every plan technique (exact, coalescing, shmem,
-divergence) and both BC parallelization strategies.
+paths preserved in :mod:`repro.perf.reference` (SSSP, WCC).  These tests
+pin that contract across every plan technique (exact, coalescing, shmem,
+divergence).  BC has one engine, anchored by ``bc_golden.json`` and the
+networkx oracle; here its stacked S-source run is held to the same
+sources run one at a time on a shared runner.
 
 Byte-identical means ``tobytes()`` equality — stricter than
 ``np.array_equal`` (distinguishes ``-0.0`` from ``0.0`` and NaN
@@ -18,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.bc import betweenness_centrality
+from repro.algorithms.bc import betweenness_centrality, pick_sources
 from repro.algorithms.sssp import sssp
 from repro.algorithms.wcc import wcc
 from repro.core.pipeline import build_plan
-from repro.perf.reference import bc_reference, sssp_reference, wcc_reference
+from repro.perf.reference import sssp_reference, wcc_reference
+from repro.verify.differential import check_bc_lanes
 
 TECHNIQUES = ("exact", "coalescing", "shmem", "divergence")
 
@@ -70,11 +73,21 @@ class TestWCCEquivalence:
 class TestBCEquivalence:
     def test_rmat(self, rmat_small, technique, strategy):
         plan = _plan_for(rmat_small, technique)
-        eng = betweenness_centrality(
-            plan, num_sources=4, seed=1, strategy=strategy, engine="gather"
-        )
-        ref = bc_reference(plan, num_sources=4, seed=1, strategy=strategy)
-        assert_identical(eng, ref)
+        sources = pick_sources(rmat_small.num_nodes, 4, 1)
+        if strategy == "inner":
+            assert check_bc_lanes(plan, sources) == []
+            return
+        # outer: the inner run's values, one charged sweep per level of
+        # the deepest source in each pass
+        outer = betweenness_centrality(plan, sources=sources, strategy="outer")
+        inner = betweenness_centrality(plan, sources=sources)
+        assert outer.values.tobytes() == inner.values.tobytes()
+        assert outer.iterations == inner.iterations
+        depths = [
+            betweenness_centrality(plan, sources=[int(s)]).iterations
+            for s in sources
+        ]
+        assert outer.metrics.num_sweeps == 2 * max(depths)
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -85,7 +98,7 @@ class TestScheduleEquivalence:
     iteration counts — including Graffix plans with replica groups —
     and a pull sweep's *charges* must be bit-faithful to its own
     schedule (reproducible), while push-pinned charges coincide with
-    the reference exactly."""
+    the reference exactly.  BC's reference is its unscheduled run."""
 
     def test_sssp_values_match_reference(self, rmat_small, technique, schedule):
         plan = _plan_for(rmat_small, technique)
@@ -115,7 +128,7 @@ class TestScheduleEquivalence:
         eng = betweenness_centrality(
             plan, num_sources=4, seed=1, schedule=schedule
         )
-        ref = bc_reference(plan, num_sources=4, seed=1, strategy="inner")
+        ref = betweenness_centrality(plan, num_sources=4, seed=1)
         assert eng.values.dtype == ref.values.dtype
         assert eng.values.tobytes() == ref.values.tobytes()
         assert eng.iterations == ref.iterations
@@ -124,17 +137,13 @@ class TestScheduleEquivalence:
 
 
 class TestBCEngineValidation:
-    def test_unknown_engine_rejected(self, tiny_graph):
-        from repro.errors import AlgorithmError
-
-        with pytest.raises(AlgorithmError, match="engine"):
-            betweenness_centrality(tiny_graph, num_sources=1, engine="warp9")
-
     def test_topology_driven_equivalence(self, rmat_small):
-        eng = betweenness_centrality(
-            rmat_small, num_sources=2, seed=0, topology_driven=True
+        sources = pick_sources(rmat_small.num_nodes, 2, 0)
+        assert check_bc_lanes(rmat_small, sources, topology_driven=True) == []
+        full = betweenness_centrality(
+            rmat_small, sources=sources, topology_driven=True
         )
-        ref = bc_reference(
-            rmat_small, num_sources=2, seed=0, topology_driven=True
-        )
-        assert_identical(eng, ref)
+        frontier = betweenness_centrality(rmat_small, sources=sources)
+        assert full.values.tobytes() == frontier.values.tobytes()
+        # one full sweep per level of either pass
+        assert full.metrics.num_sweeps == 2 * full.iterations

@@ -302,10 +302,6 @@ class TestKernelScheduleInvariance:
             betweenness_centrality(
                 rmat_small, num_sources=1, strategy="outer", schedule="pull"
             )
-        with pytest.raises(AlgorithmError):
-            betweenness_centrality(
-                rmat_small, num_sources=1, engine="reference", schedule="pull"
-            )
 
 
 @settings(max_examples=25, deadline=None)

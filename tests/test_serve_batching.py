@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import ProtocolError, ServeError
+from repro.errors import DeadlineExceeded, ProtocolError, ServeError
 from repro.obs import metrics as obs_metrics
 from repro.serve.batching import BatchWindow
 from repro.serve.deadline import Deadline
@@ -152,6 +152,15 @@ class TestBatchWindow:
         assert time.perf_counter() - t0 < 1.0
 
 
+class _ExpiresInSolver(Deadline):
+    """An expired budget that the service's own stage checks let through,
+    so only the solver's checks can reject the request."""
+
+    def check(self, stage: str) -> None:
+        if stage not in ("plan", "solve"):
+            super().check(stage)
+
+
 class TestServiceBatching:
     @pytest.fixture(scope="class")
     def batched_service(self):
@@ -235,6 +244,20 @@ class TestServiceBatching:
         assert any(got[nd].get("batched") for nd in nodes)
         for nd in nodes:
             assert got[nd]["score"] == expect[nd]["score"], f"node {nd}"
+
+    @pytest.mark.parametrize("which", ["solo", "batched"])
+    def test_bc_node_past_deadline_times_out_in_the_solver(
+        self, batched_service, solo_service, which
+    ):
+        """A ``bc_node`` whose budget runs out once solving has begun
+        gets the deadline error from BC's own level check."""
+        service = batched_service if which == "batched" else solo_service
+        g = sorted(service.graphs)[0]
+        with pytest.raises(DeadlineExceeded, match="at sweep"):
+            service.execute(
+                {"op": "bc_node", "graph": g, "node": 0, "num_sources": 4},
+                _ExpiresInSolver(0.0),
+            )
 
     def test_window_disabled_by_default(self, solo_service):
         assert solo_service.batcher is None

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
 from repro.errors import DeadlineExceeded
@@ -74,6 +75,31 @@ class TestDeadlineRunner:
             sssp(plan, 0, runner_factory=deadline_runner_factory(expired))
         after = obs_metrics.snapshot()["counters"].get("solve.sweeps", 0)
         assert after == before, "an expired request must not run any sweep"
+
+    @pytest.mark.parametrize("technique", ["exact", "coalescing"])
+    def test_bc_checks_the_deadline_per_level(self, rmat_small, technique):
+        """BC drives its own levels, so it checks the deadline itself."""
+        plan = build_plan(rmat_small, technique)
+        before = obs_metrics.snapshot()["counters"].get("solve.sweeps", 0)
+        with pytest.raises(DeadlineExceeded, match="at sweep"):
+            betweenness_centrality(
+                plan,
+                num_sources=4,
+                runner_factory=deadline_runner_factory(Deadline(0.0)),
+            )
+        after = obs_metrics.snapshot()["counters"].get("solve.sweeps", 0)
+        assert after == before
+
+    def test_bc_unbounded_runner_matches_plain_run(self, rmat_small):
+        plan = build_plan(rmat_small, "coalescing")
+        plain = betweenness_centrality(plan, num_sources=4)
+        ran = betweenness_centrality(
+            plan,
+            num_sources=4,
+            runner_factory=deadline_runner_factory(Deadline.none()),
+        )
+        assert plain.values.tobytes() == ran.values.tobytes()
+        assert plain.metrics.summary() == ran.metrics.summary()
 
     def test_unbounded_runner_matches_plain_run(self, rmat_small):
         plan = build_plan(rmat_small, "exact")

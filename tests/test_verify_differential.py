@@ -10,7 +10,8 @@ import pytest
 from repro.core.pipeline import build_plan
 from repro.verify.corpus import default_corpus
 from repro.verify.differential import (
-    check_bc_engines,
+    check_bc_lanes,
+    check_bc_oracle,
     check_cache_differential,
     check_serial_parallel,
     plans_identical,
@@ -23,13 +24,34 @@ def corpus():
 
 
 @pytest.mark.parametrize("technique", ["exact", "coalescing", "divergence"])
-def test_bc_engines_agree(corpus, technique, small_device):
-    assert (
-        check_bc_engines(
-            corpus["social"], technique=technique, seed=1, device=small_device
-        )
-        == []
+def test_bc_lanes_agree(corpus, technique, small_device):
+    graph = corpus["social"]
+    target = graph if technique == "exact" else build_plan(
+        graph, technique, device=small_device
     )
+    sources = [0, 5, 5, graph.num_nodes - 1]
+    assert check_bc_lanes(target, sources, device=small_device) == []
+
+
+@pytest.mark.parametrize("name", ["rmat", "road"])
+def test_bc_oracle_agrees(corpus, name, small_device):
+    assert check_bc_oracle(corpus[name], seed=1, device=small_device) == []
+
+
+def test_bc_lanes_catch_a_wrong_ledger(corpus, small_device, monkeypatch):
+    """A stacked run that drops one lane-level charge must be caught."""
+    from repro.algorithms import bc
+
+    charge = bc._charge_lanes
+
+    def drop_last(ctx, logs):
+        if len(logs) > 1:
+            logs = [logs[0][:-1]] + logs[1:]
+        charge(ctx, logs)
+
+    monkeypatch.setattr(bc, "_charge_lanes", drop_last)
+    graph = corpus["road"]
+    assert check_bc_lanes(graph, [0, graph.num_nodes // 2], device=small_device)
 
 
 def test_cache_differential_byte_identity(corpus, tmp_path, small_device):
