@@ -1,17 +1,16 @@
 """Host-kernel wall-clock benchmark: the tracked perf baseline.
 
-Times every solver hot path through the ``repro.perf`` engine and the
-preserved pre-engine reference paths (SSSP/WCC's snapshot loops), then
+Times every solver hot path through the ``repro.perf`` engine, then
 writes the machine-readable report to
 ``benchmarks/results/BENCH_PR4.json`` — the same artifact
 ``python -m repro perf`` emits, and the one CI's perf-smoke job gates
 regressions against.
 
-Scale follows ``REPRO_BENCH_SCALE`` (default ``small``).  BC has no
-preserved reference path; its gate is the ``bc@batched`` row — the
-stacked S-source sweep against the same sources as one call each — whose
-win scales with diameter (per-level overhead paid once for all lanes),
-so the best per-graph row is the high-diameter road graph.
+Scale follows ``REPRO_BENCH_SCALE`` (default ``small``).  BC's gate is
+the ``bc@batched`` row — the stacked S-source sweep against the same
+sources as one call each — whose win scales with diameter (per-level
+overhead paid once for all lanes), so the best per-graph row is the
+high-diameter road graph.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ def test_perf_kernels(benchmark, emit):
         {
             "kernel": r["kernel"],
             "graph": r["graph"],
+            "schedule": r["schedule"] or "-",
             "seconds": r["seconds"],
-            "reference_seconds": r.get("reference_seconds", float("nan")),
-            "speedup": r.get("speedup_vs_reference", float("nan")),
         }
         for r in report["kernels"]
     ]
@@ -50,16 +48,12 @@ def test_perf_kernels(benchmark, emit):
         "perf_kernels",
         format_table(
             rows,
-            ["kernel", "graph", "seconds", "reference_seconds", "speedup"],
-            title=f"Engine vs reference host wall-clock (scale={scale})",
+            ["kernel", "graph", "schedule", "seconds"],
+            title=f"Engine host wall-clock, best of 3 (scale={scale})",
             floatfmt="{:,.4f}",
         ),
     )
 
-    agg = report["aggregate_speedup_vs_reference"]
-    best = report["best_speedup_vs_reference"]
-    assert set(agg) == {"sssp", "wcc"}
-    assert set(best) == {"sssp", "wcc"}
     # stacking BC's sources must beat running them one call at a time
     # on its best graph (the floor CI's --min-bc-speedup gates)
     assert best_speedup(report, "bc@batched", "speedup_vs_looped") > 1.0

@@ -27,7 +27,7 @@ from ..gpusim.device import DeviceConfig, K40C
 from ..perf.edgeshare import shared_pull_view
 from ..perf.gather import expand_frontier
 from ..perf.schedule import schedule_for
-from .common import AlgorithmResult, Runner, plan_for
+from .common import AlgorithmResult, Runner, check_source, plan_for
 
 __all__ = ["bfs"]
 
@@ -59,8 +59,7 @@ def bfs(
             "schedules apply to the frontier-driven bfs kernel only"
         )
     plan = plan_for(graph_or_plan)
-    if not 0 <= source < plan.num_original:
-        raise AlgorithmError(f"source {source} out of range")
+    source = check_source(source, plan.num_original)
     runner = (runner_factory or Runner)(plan, device)
     graph = plan.graph
     n = graph.num_nodes

@@ -17,6 +17,7 @@ algorithms stay oblivious to which transform is active:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,14 @@ from ..gpusim.metrics import SimMetrics
 from ..perf.edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
 from ..perf.schedule import Schedule, SweepDecision, schedule_for
 
-__all__ = ["AlgorithmResult", "Runner", "EdgeView", "plan_for", "MAX_ITERATIONS"]
+__all__ = [
+    "AlgorithmResult",
+    "Runner",
+    "EdgeView",
+    "check_source",
+    "plan_for",
+    "MAX_ITERATIONS",
+]
 
 #: safety valve for fixed-point loops (approximation can in principle
 #: oscillate under mean-confluence; real deployments bound iterations too)
@@ -70,6 +78,20 @@ def plan_for(graph_or_plan: CSRGraph | ExecutionPlan) -> ExecutionPlan:
     return ExecutionPlan(
         technique="exact", graph=graph_or_plan, num_original=graph_or_plan.num_nodes
     )
+
+
+def check_source(source, n: int) -> int:
+    """``source`` as a node id in ``[0, n)``, or :class:`AlgorithmError`.
+
+    Python and numpy integers pass; bools (which numpy would read as a
+    mask), floats and strings do not, even when they name a valid id.
+    """
+    # bool is an Integral subclass; numpy's bool_ is not Integral at all
+    if isinstance(source, bool) or not isinstance(source, Integral):
+        raise AlgorithmError(f"source {source!r} is not an integer node id")
+    if not 0 <= source < n:
+        raise AlgorithmError(f"source {source} out of range for n={n}")
+    return int(source)
 
 
 class Runner:

@@ -9,6 +9,11 @@ confluence and shared-memory cluster rounds; added 2-hop edges carry the
 sum of the two hop weights (§4), so any path through them corresponds to a
 real path in the original graph — distances can only drift through
 mean-confluence, never through the structural edits alone.
+
+Each sweep reports change the way the paper's kernels do: one
+``changed`` flag, raised by any ``atomicMin`` that lowers a distance.
+The host computes it against a plain copy of ``dist`` taken before the
+sweep.
 """
 
 from __future__ import annotations
@@ -16,37 +21,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pipeline import ExecutionPlan
-from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
-from ..perf.workspace import pool, scatter_min_changed
-from .common import MAX_ITERATIONS, AlgorithmResult, EdgeView, Runner, plan_for
+from .common import (
+    MAX_ITERATIONS,
+    AlgorithmResult,
+    EdgeView,
+    Runner,
+    check_source,
+    plan_for,
+)
 
-__all__ = ["sssp", "sssp_relax", "DENSE_GATE_DIVISOR"]
-
-#: the relax sweep goes dense (full pooled snapshot) once the touched
-#: records reach ``1/DENSE_GATE_DIVISOR`` of the node count.  Measured,
-#: not derived: the naive op count says dense ≈ 2n streaming words vs
-#: sparse ≈ 3k gathered words (crossover 2n/3), but the sparse branch's
-#: ``np.take`` with duplicate-heavy random indices is cache-hostile
-#: while copyto/compare stream — on multigraphs with heavy parallel
-#: edges (k counts *records*, duplicates included) the dense branch
-#: already wins by k ≈ n/4 and is 3–7× cheaper by k ≈ n, where the old
-#: ``k >= n`` gate still chose sparse.
-DENSE_GATE_DIVISOR = 4
+__all__ = ["sssp", "sssp_relax"]
 
 
 def sssp_relax(edges: EdgeView, dist: np.ndarray) -> bool:
     """One Bellman-Ford sweep over ``edges``; mutates ``dist`` in place.
 
-    Change detection never allocates in steady state: sparse sweeps
-    snapshot only the touched destinations (the engine's
-    :func:`~repro.perf.workspace.scatter_min_changed`), dense sweeps —
-    touched records within ``DENSE_GATE_DIVISOR``× of the node count —
-    lease a pooled full snapshot, the cheaper of the two at O(V)
-    streaming words.  Both branches compute identical distances and an
-    identical changed flag (``tests/test_sssp_gate_differential.py``);
-    the gate only picks the cheaper host path.
+    Returns whether any distance improved: the kernel's ``atomicMin``
+    ``changed`` flag, computed against a plain pre-sweep snapshot.
 
     ``edges`` may be a forward :class:`EdgeView` or a
     :class:`~repro.perf.edgeshare.PullEdgeView` — scatter-min is
@@ -57,15 +50,10 @@ def sssp_relax(edges: EdgeView, dist: np.ndarray) -> bool:
     finite = np.isfinite(dist[src])
     if not finite.any():
         return False
-    dst_f = dst[finite]
     cand = dist[src[finite]] + w[finite]
-    if dst_f.size * DENSE_GATE_DIVISOR >= dist.size:
-        with pool().lease("sssp.relax.dense", dist.size, dist.dtype) as before:
-            np.copyto(before, dist)
-            np.minimum.at(dist, dst_f, cand)
-            return bool(np.any(dist < before))
-    changed = scatter_min_changed(dist, dst_f, cand, key="sssp.relax")
-    return bool(changed.any())
+    before = dist.copy()
+    np.minimum.at(dist, dst[finite], cand)
+    return bool(np.any(dist < before))
 
 
 def sssp(
@@ -84,10 +72,7 @@ def sssp(
     sweep execution strategy; distances are schedule-invariant.
     """
     plan = plan_for(graph_or_plan)
-    if not 0 <= source < plan.num_original:
-        raise AlgorithmError(
-            f"source {source} out of range for n={plan.num_original}"
-        )
+    source = check_source(source, plan.num_original)
     runner = (runner_factory or Runner)(plan, device).use_schedule(schedule)
 
     init = np.full(plan.num_original, np.inf)

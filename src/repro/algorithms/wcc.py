@@ -22,25 +22,19 @@ import numpy as np
 from ..core.pipeline import ExecutionPlan
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
-from ..perf.workspace import pool
 from .common import MAX_ITERATIONS, AlgorithmResult, EdgeView, Runner, plan_for
 
 __all__ = ["wcc", "exact_wcc_count"]
 
 
 def _wcc_relax(edges: EdgeView, labels: np.ndarray) -> bool:
-    # snapshot + compare run through pooled scratch buffers: min-labels
-    # only ever decrease, so one pre-sweep snapshot detects change for
-    # both directions without per-sweep O(V) allocations
+    # min-labels only ever decrease, so one pre-sweep snapshot detects
+    # change for both directions
     src, dst = edges.src, edges.dst
-    p = pool()
-    before = p.borrow("wcc.before", labels.size, labels.dtype)
-    np.copyto(before, labels)
+    before = labels.copy()
     np.minimum.at(labels, dst, labels[src])
     np.minimum.at(labels, src, labels[dst])
-    changed = p.borrow("wcc.changed", labels.size, np.bool_)
-    np.less(labels, before, out=changed)
-    return bool(changed.any())
+    return bool(np.any(labels < before))
 
 
 def wcc(

@@ -25,13 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..algorithms.bc import betweenness_centrality
-from ..algorithms.common import AlgorithmResult, Runner, plan_for
+from ..algorithms.common import AlgorithmResult, Runner, check_source, plan_for
 from ..core.pipeline import ExecutionPlan
 from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
-from ..perf.gather import expand_frontier
-from ..perf.workspace import pool, scatter_min_changed
+from ..perf.gather import expand_frontier, scatter_min_changed
 
 __all__ = ["run", "sssp_frontier", "pagerank_delta", "SUPPORTED"]
 
@@ -57,8 +56,7 @@ def sssp_frontier(
     frontier membership.
     """
     plan = plan_for(graph_or_plan)
-    if not 0 <= source < plan.num_original:
-        raise AlgorithmError(f"source {source} out of range")
+    source = check_source(source, plan.num_original)
     runner = Runner(plan, device).use_schedule(schedule)
     graph = plan.graph
     n = graph.num_nodes
@@ -76,7 +74,6 @@ def sssp_frontier(
         g_slots, _g_gids, _g_sizes = plan.graffix.replica_groups()
     else:
         g_slots = np.empty(0, dtype=np.int64)
-    scratch = pool()
     in_frontier = None
 
     while frontier.size and iterations < max_iterations:
@@ -108,21 +105,17 @@ def sssp_frontier(
             )
             e_src, e_dst, epos = exp.e_src, exp.e_dst, exp.epos
             cand_w = None
-        # touched-destinations change detection (no full dist snapshots:
-        # only gathered edges and, below, only replica slots are compared)
-        changed_mask = scratch.borrow("gunrock.sssp.mask", n, np.bool_)
-        changed_mask[:] = False
+        # touched-destinations change detection: only gathered edges
+        # and, below, only replica slots are compared
+        changed_mask = np.zeros(n, dtype=bool)
         if e_dst.size:
             cand = dist[e_src] + (weights[epos] if cand_w is None else cand_w)
-            improved = scatter_min_changed(dist, e_dst, cand, key="gunrock.sssp")
+            improved = scatter_min_changed(dist, e_dst, cand)
             changed_mask[e_dst[improved]] = True
         if plan.graffix is not None:
             # confluence only ever writes replica slots, so comparing
             # those slots is exact — the rest of dist cannot move
-            before_slots = scratch.borrow(
-                "gunrock.sssp.slots", g_slots.size, dist.dtype
-            )
-            np.take(dist, g_slots, out=before_slots)
+            before_slots = dist[g_slots]
             runner.confluence(dist)
             changed_mask[g_slots[dist[g_slots] != before_slots]] = True
         frontier = np.nonzero(changed_mask)[0].astype(np.int64)

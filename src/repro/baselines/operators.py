@@ -24,13 +24,13 @@ from typing import Callable
 
 import numpy as np
 
+from ..algorithms.common import check_source
 from ..errors import AlgorithmError, SimulationError
 from ..graphs.csr import CSRGraph
 from ..gpusim.costmodel import charge_sweep
 from ..gpusim.device import DeviceConfig, K40C
 from ..gpusim.metrics import SimMetrics
-from ..perf.gather import expand_frontier
-from ..perf.workspace import scatter_min_changed
+from ..perf.gather import expand_frontier, scatter_min_changed
 
 __all__ = ["Frontier", "OperatorContext", "bfs_operators", "sssp_operators"]
 
@@ -161,8 +161,7 @@ def bfs_operators(
     graph: CSRGraph, source: int, *, device: DeviceConfig = K40C
 ) -> tuple[np.ndarray, SimMetrics]:
     """Level-synchronous BFS in advance/filter form."""
-    if not 0 <= source < graph.num_nodes:
-        raise AlgorithmError(f"source {source} out of range")
+    source = check_source(source, graph.num_nodes)
     ctx = OperatorContext(graph, device)
     level = np.full(graph.num_nodes, -1, dtype=np.int64)
     level[source] = 0
@@ -186,8 +185,7 @@ def sssp_operators(
     graph: CSRGraph, source: int, *, device: DeviceConfig = K40C
 ) -> tuple[np.ndarray, SimMetrics]:
     """Frontier-driven Bellman-Ford in advance/filter form."""
-    if not 0 <= source < graph.num_nodes:
-        raise AlgorithmError(f"source {source} out of range")
+    source = check_source(source, graph.num_nodes)
     ctx = OperatorContext(graph, device)
     dist = np.full(graph.num_nodes, np.inf)
     dist[source] = 0.0
@@ -196,10 +194,9 @@ def sssp_operators(
         improved = np.zeros(graph.num_nodes, dtype=bool)
 
         def relax(e_src, e_dst, e_w):
-            # the touched-destinations idiom now lives in the shared
-            # engine; the mask is pooled scratch, consumed immediately
+            # snapshot only the touched destinations, not all of dist
             cand = dist[e_src] + e_w
-            changed_dst = scatter_min_changed(dist, e_dst, cand, key="ops.sssp")
+            changed_dst = scatter_min_changed(dist, e_dst, cand)
             improved[e_dst[changed_dst]] = True
             return changed_dst
 

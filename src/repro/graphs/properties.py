@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..cache import memoize_arrays, memoize_json
-from ..errors import AlgorithmError
 from .builder import to_scipy
 from .csr import CSRGraph
 
@@ -69,9 +68,12 @@ def _clustering_coefficients(graph: CSRGraph) -> np.ndarray:
 
 def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
     """BFS level of every node from ``source``; unreachable nodes get -1."""
+    # function-local: repro.algorithms imports the transforms, which
+    # import this module
+    from ..algorithms.common import check_source
+
     n = graph.num_nodes
-    if not 0 <= source < n:
-        raise AlgorithmError(f"source {source} out of range for n={n}")
+    source = check_source(source, n)
     level = np.full(n, -1, dtype=np.int64)
     level[source] = 0
     frontier = np.array([source], dtype=np.int64)

@@ -3,16 +3,13 @@
 The simulator charges kernels as if they did work proportional to the
 active frontier, but several host-side implementations historically did
 asymptotically *more* work than the GPU kernels they model (full-edge
-``np.isin`` scans per BFS level, full-array snapshots per sweep).  This
-package closes that gap with three shared primitives plus a tracked
-wall-clock benchmark:
+``np.isin`` scans per BFS level).  This package closes that gap with
+shared primitives plus a tracked wall-clock benchmark:
 
 * :mod:`repro.perf.gather` — O(frontier-edges) CSR gathers
-  (:func:`~repro.perf.gather.frontier_edges`);
-* :mod:`repro.perf.workspace` — a :class:`~repro.perf.workspace.WorkspacePool`
-  of reusable scratch buffers and the touched-destinations change
-  detector :func:`~repro.perf.workspace.scatter_min_changed`, eliminating
-  the per-sweep O(V)/O(E) allocations in the relax hot paths;
+  (:func:`~repro.perf.gather.frontier_edges`) and the touched-destinations
+  change detector :func:`~repro.perf.gather.scatter_min_changed` that
+  frontier-driven relaxes scatter through;
 * :mod:`repro.perf.edgeshare` — flat edge arrays
   (:class:`~repro.perf.edgeshare.EdgeView`) and reverse-CSR pull views
   (:class:`~repro.perf.edgeshare.PullEdgeView`) shared across Runners by
@@ -37,14 +34,12 @@ wall-clock benchmark:
 * :mod:`repro.perf.bench` — ``python -m repro perf``, the kernel
   benchmark that emits ``BENCH_PR4.json`` and gates regressions in CI.
 
-:mod:`repro.perf.reference` preserves the pre-engine SSSP/WCC reference
-paths so the equivalence suite can prove the engine returns
-byte-identical values and identical simulated-cycle charges; BC is
-pinned by ``tests/bc_golden.json`` and the networkx oracle instead.
+Values and simulated-cycle charges are pinned by recorded golden
+digests (``tests/*_golden.json``) and the independent oracles in
+:mod:`repro.algorithms.exact`.
 
-Everything is observable: ``perf.gather.*`` and
-``perf.workspace.{reuse,alloc}`` counters plus ``perf.*`` spans feed
-``python -m repro stats`` (see ``docs/performance.md``).
+Everything is observable: ``perf.gather.*`` counters plus ``perf.*``
+spans feed ``python -m repro stats`` (see ``docs/performance.md``).
 """
 
 from .batched import (
@@ -57,7 +52,7 @@ from .batched import (
     sssp_batched,
 )
 from .edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
-from .gather import frontier_edges
+from .gather import frontier_edges, scatter_min_changed
 from .schedule import (
     DirectionOptimizing,
     Explicit,
@@ -66,7 +61,6 @@ from .schedule import (
     SweepDecision,
     schedule_for,
 )
-from .workspace import WorkspacePool, pool, scatter_min_changed
 
 __all__ = [
     "BatchedResult",
@@ -79,12 +73,10 @@ __all__ = [
     "PullEdgeView",
     "Schedule",
     "SweepDecision",
-    "WorkspacePool",
     "bfs_levels_batched",
     "expand_lanes",
     "frontier_edges",
     "lane_sources",
-    "pool",
     "scatter_min_changed",
     "schedule_for",
     "shared_edge_view",

@@ -254,12 +254,16 @@ class BatchedResult:
 def lane_sources(sources, num_original: int) -> np.ndarray:
     """Validate a batched source set (duplicates allowed — lanes are
     independent, so a repeated source just repeats its lane)."""
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    if sources.size == 0:
+    from ..algorithms.common import check_source
+
+    # an object array keeps each element's own type for check_source:
+    # an int64 cast would turn True into 1 and 1.5 into 1
+    if not isinstance(sources, np.ndarray):
+        sources = np.asarray(sources, dtype=object)
+    checked = [check_source(s, num_original) for s in sources.reshape(-1)]
+    if not checked:
         raise AlgorithmError("sources must be non-empty")
-    if sources.min() < 0 or sources.max() >= num_original:
-        raise AlgorithmError("batched source out of range")
-    return sources
+    return np.asarray(checked, dtype=np.int64)
 
 
 def _replica_info(plan):
@@ -478,9 +482,8 @@ def _relax_lanes(edges, dist2, dist_flat, act, n):
     Candidate distances are the same float64 operands each looped
     :func:`~repro.algorithms.sssp.sssp_relax` computes, and scatter-min
     is order-insensitive and exact, so the post-sweep rows are
-    bit-identical per lane; the changed flag reduces to "any element
-    improved", which both looped branches (pooled dense snapshot and
-    sparse touched-destination compare) also compute.
+    bit-identical per lane; each lane's changed flag is "any element
+    improved" against its pre-sweep snapshot, as in the looped relax.
     """
     src = np.asarray(edges.src)
     dst = np.asarray(edges.dst, dtype=np.int64)

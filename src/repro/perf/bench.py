@@ -2,10 +2,7 @@
 
 Times the solver hot paths per algorithm × graph at a fixed suite scale
 and emits a JSON report (``BENCH_PR4.json`` by convention) — the
-repo's tracked perf trajectory.  Where a pre-engine reference path
-exists (SSSP/WCC's snapshot loops — see :mod:`repro.perf.reference`),
-the report carries both timings and the ``speedup_vs_reference`` ratio,
-which is machine-portable in a way raw seconds are not.
+repo's tracked perf trajectory.
 
 Regression gating (the redisbench-style committed-baseline pattern)::
 
@@ -77,8 +74,7 @@ TRAJECTORY_PATH = Path("benchmarks/results/TRAJECTORY.json")
 
 SCHEMA_VERSION = 1
 
-#: kernels timed per graph; ``reference`` names the pre-engine path
-#: (None when the engine path has no preserved reference)
+#: sources per run of the ``bc`` and ``bc@diropt`` rows
 _BC_SOURCES = 4
 
 
@@ -102,7 +98,6 @@ def _kernels(
     from ..tune import ErrorBudget, adaptive_runner_factory
     from .batched import sssp_batched
     from .schedule import schedule_for
-    from . import reference as ref
 
     tune_factory = lambda g: adaptive_runner_factory(  # noqa: E731
         ErrorBudget(target_percent=tune_budget), exact_graph=g
@@ -132,13 +127,11 @@ def _kernels(
             "kernel": "bc",
             "schedule": label,
             "run": lambda g: bc(g, schedule),
-            "reference": None,
         },
         {
             "kernel": "sssp",
             "schedule": label,
             "run": lambda g: sssp(g, _bench_source(g), schedule=schedule),
-            "reference": lambda g: ref.sssp_reference(g, _bench_source(g)),
         },
         {
             # WCC's label propagation is symmetric — no pull direction to
@@ -146,25 +139,21 @@ def _kernels(
             "kernel": "wcc",
             "schedule": None,
             "run": lambda g: wcc(g),
-            "reference": lambda g: ref.wcc_reference(g),
         },
         {
             "kernel": "bfs",
             "schedule": label,
             "run": lambda g: bfs(g, _bench_source(g), schedule=schedule),
-            "reference": None,
         },
         {
             "kernel": "pagerank",
             "schedule": label,
             "run": lambda g: pagerank(g, schedule=schedule),
-            "reference": None,
         },
         {
             "kernel": "gunrock_sssp",
             "schedule": label,
             "run": lambda g: sssp_frontier(g, _bench_source(g), schedule=schedule),
-            "reference": None,
         },
         # fixed-push vs direction-optimizing comparison rows (distinct
         # kernel names so trajectory/obs-diff keys never collide with the
@@ -176,13 +165,11 @@ def _kernels(
             "run": lambda g: bfs(
                 g, _bench_source(g), schedule="direction-optimizing"
             ),
-            "reference": None,
         },
         {
             "kernel": "bc@diropt",
             "schedule": "direction-optimizing",
             "run": lambda g: bc(g, "direction-optimizing"),
-            "reference": None,
         },
         # batched multi-source rows: one stacked sweep over
         # ``batch_sources`` lanes vs the same sources run back to back,
@@ -192,7 +179,6 @@ def _kernels(
             "kernel": "bc@batched",
             "schedule": None,
             "run": lambda g: betweenness_centrality(g, sources=batch_srcs(g)),
-            "reference": None,
             "looped": looped(
                 lambda g, s: betweenness_centrality(g, sources=[s])
             ),
@@ -201,7 +187,6 @@ def _kernels(
             "kernel": "sssp@batched",
             "schedule": None,
             "run": lambda g: sssp_batched(g, batch_srcs(g)),
-            "reference": None,
             "looped": looped(sssp),
         },
         # adaptive-controller rows: identical workload + schedule to the
@@ -215,7 +200,6 @@ def _kernels(
                 g, _bench_source(g), schedule=schedule,
                 runner_factory=tune_factory(g),
             ),
-            "reference": None,
         },
         {
             "kernel": "pagerank@tuned",
@@ -223,14 +207,13 @@ def _kernels(
             "run": lambda g: pagerank(
                 g, schedule=schedule, runner_factory=tune_factory(g)
             ),
-            "reference": None,
         },
     ]
     return specs
 
 
 def _time(fn: Callable[[], object], repeats: int) -> tuple[float, object, list[float]]:
-    """Best-of-``repeats`` wall-clock; the first run warms pooled buffers.
+    """Best-of-``repeats`` wall-clock; the first run warms shared views.
 
     Also returns every repeat's raw timing — the spread is what makes
     ``obs diff`` verdicts noise-aware rather than fixed-ratio.
@@ -299,18 +282,6 @@ def run_bench(
                 row["frontier_occupancy"] = (
                     round(busy / (busy + idle), 6) if busy + idle else None
                 )
-            if spec["reference"] is not None:
-                with obs_trace.span(
-                    "perf.bench.reference", kernel=spec["kernel"], graph=name
-                ):
-                    ref_seconds, _, ref_samples = _time(
-                        lambda: spec["reference"](graph), repeats
-                    )
-                row["reference_seconds"] = ref_seconds
-                row["reference_samples"] = [round(s, 6) for s in ref_samples]
-                row["speedup_vs_reference"] = (
-                    ref_seconds / seconds if seconds > 0 else float("inf")
-                )
             if spec.get("looped") is not None:
                 row["batch_sources"] = batch_sources
                 with obs_trace.span(
@@ -353,7 +324,7 @@ def run_bench(
         row["speedup_vs_fixed_push"] = (
             base["seconds"] / row["seconds"] if row["seconds"] > 0 else float("inf")
         )
-    report = {
+    return {
         "schema": SCHEMA_VERSION,
         "scale": scale,
         "repeats": repeats,
@@ -365,40 +336,10 @@ def run_bench(
         },
         "kernels": rows,
     }
-    for kernel in sorted({r["kernel"] for r in rows}):
-        agg = aggregate_speedup(report, kernel)
-        if agg is not None:
-            report.setdefault("aggregate_speedup_vs_reference", {})[kernel] = agg
-        best = best_speedup(report, kernel)
-        if best is not None:
-            report.setdefault("best_speedup_vs_reference", {})[kernel] = best
-    return report
 
 
-def aggregate_speedup(report: dict, kernel: str) -> float | None:
-    """Sum-of-reference-seconds over sum-of-engine-seconds for ``kernel``."""
-    rows = [
-        r
-        for r in report["kernels"]
-        if r["kernel"] == kernel and "reference_seconds" in r
-    ]
-    if not rows:
-        return None
-    engine = sum(r["seconds"] for r in rows)
-    reference = sum(r["reference_seconds"] for r in rows)
-    return reference / engine if engine > 0 else float("inf")
-
-
-def best_speedup(
-    report: dict, kernel: str, field: str = "speedup_vs_reference"
-) -> float | None:
-    """Max per-graph ``field`` speedup for ``kernel``.
-
-    The engine's win scales with graph diameter (more levels → more
-    per-level overhead amortized away), so the suite's high-diameter
-    road graph is where the asymptotic gap shows; the aggregate averages
-    it with low-diameter graphs whose sweeps were already cheap.
-    """
+def best_speedup(report: dict, kernel: str, field: str) -> float | None:
+    """Max per-graph ``field`` speedup for ``kernel`` (None if no row has it)."""
     speedups = [
         r[field]
         for r in report["kernels"]
@@ -477,18 +418,12 @@ def record_trajectory(report: dict, path: str | Path = TRAJECTORY_PATH) -> dict:
 def _format_report(report: dict) -> str:
     lines = [
         f"repro perf — scale={report['scale']} repeats={report['repeats']}",
-        f"{'kernel':<14}{'graph':<14}{'schedule':<22}"
-        f"{'seconds':>10}{'ref s':>10}{'speedup':>9}",
+        f"{'kernel':<16}{'graph':<14}{'schedule':<22}{'seconds':>10}",
     ]
     for r in report["kernels"]:
-        ref = r.get("reference_seconds")
-        spd = r.get("speedup_vs_reference")
         sched = r.get("schedule") or "—"
-        head = f"{r['kernel']:<14}{r['graph']:<14}{sched:<22}{r['seconds']:>10.4f}"
         lines.append(
-            f"{head}{ref:>10.4f}{spd:>8.2f}x"
-            if ref is not None
-            else f"{head}{'—':>10}{'—':>9}"
+            f"{r['kernel']:<16}{r['graph']:<14}{sched:<22}{r['seconds']:>10.4f}"
         )
     do_rows = [r for r in report["kernels"] if "speedup_vs_fixed_push" in r]
     if do_rows:
@@ -522,14 +457,6 @@ def _format_report(report: dict) -> str:
                 f"{r['speedup_vs_static']:.2f}x "
                 f"({r['static_seconds']:.4f}s -> {r['seconds']:.4f}s)"
             )
-    best = report.get("best_speedup_vs_reference", {})
-    for kernel, agg in sorted(
-        report.get("aggregate_speedup_vs_reference", {}).items()
-    ):
-        lines.append(
-            f"{kernel} speedup vs reference: {agg:.2f}x aggregate, "
-            f"{best.get(kernel, agg):.2f}x best graph"
-        )
     return "\n".join(lines)
 
 

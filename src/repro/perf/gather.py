@@ -13,6 +13,10 @@ global CSR edge order — exactly the order a full-edge boolean mask would
 have produced.  Scatter updates (``np.add.at`` / ``np.minimum.at``)
 applied to the gathered records therefore accumulate in the same order
 as the pre-engine full-scan code, and float results match bit for bit.
+
+:func:`scatter_min_changed` is the scatter side's companion: a
+frontier sweep's ``np.minimum.at`` plus the change mask over just the
+gathered records.
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ from ..graphs.properties import ragged_arange
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-__all__ = ["SweepExpansion", "expand_frontier", "frontier_edges"]
+__all__ = [
+    "SweepExpansion",
+    "expand_frontier",
+    "frontier_edges",
+    "scatter_min_changed",
+]
 
 
 class SweepExpansion:
@@ -117,3 +126,19 @@ def _expand(
     e_dst = indices[epos].astype(np.int64, copy=False)
     return SweepExpansion(frontier, degs, step, epos, np.repeat(frontier, degs), e_dst)
 
+
+
+def scatter_min_changed(
+    values: np.ndarray, idx: np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """``np.minimum.at(values, idx, cand)`` + touched-only change mask.
+
+    Returns a boolean mask parallel to ``idx`` marking the records whose
+    destination value strictly improved (every record pointing at an
+    improved destination is marked, as the operator-API relax functor
+    contract requires).  Only the touched destinations are snapshotted:
+    O(k) for k records, never the whole array.
+    """
+    before = values[idx]
+    np.minimum.at(values, idx, cand)
+    return values[idx] < before

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..algorithms.common import check_source
 from ..algorithms.sssp import sssp
 from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
@@ -69,8 +70,7 @@ class LandmarkIndex:
         point of the method (and also why its accuracy is capped).
         """
         n = self.from_landmark.shape[1]
-        if not 0 <= source < n:
-            raise AlgorithmError(f"source {source} out of range")
+        source = check_source(source, n)
         # d(source, L_i) + d(L_i, v), minimized over i
         s_to_l = self.to_landmark[:, source][:, None]  # (L, 1)
         est = np.min(s_to_l + self.from_landmark, axis=0)

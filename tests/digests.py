@@ -3,14 +3,21 @@
 A golden pin records a run's outputs as plain JSON: array bytes as
 sha256, floats as ``float.hex`` (so the low bits are pinned too), and
 every field of the :class:`~repro.gpusim.metrics.SimMetrics` ledger.
+
+Each pin module declares ``golden = golden_fixture(GOLDEN)`` and ends
+with ``record_main(GOLDEN, _table)``, so it refreshes its file with::
+
+    PYTHONPATH=src python tests/<pin module>.py --record
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
+import pytest
 
 
 def sha256(arr: np.ndarray) -> str:
@@ -41,3 +48,20 @@ def write_golden(path, table: dict) -> None:
         for key in sorted(table)
     ]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def golden_fixture(path):
+    """A module-scoped ``golden`` fixture loading the pin at ``path``."""
+
+    @pytest.fixture(scope="module")
+    def golden() -> dict:
+        return json.loads(path.read_text())
+
+    return golden
+
+
+def record_main(path, table) -> None:
+    """The ``--record`` entry point: write ``table()`` to ``path``."""
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: {sys.argv[0]} --record")
+    write_golden(path, table())

@@ -21,12 +21,10 @@ in the commit)::
 
 from __future__ import annotations
 
-import json
-import sys
 from pathlib import Path
 
 import pytest
-from digests import metrics_digest, sha256, write_golden
+from digests import golden_fixture, metrics_digest, record_main, sha256
 
 from repro.algorithms.bc import betweenness_centrality
 from repro.baselines import tigr
@@ -80,9 +78,7 @@ def suite() -> dict:
     return paper_suite("tiny", seed=7)
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+golden = golden_fixture(GOLDEN)
 
 
 def test_golden_covers_every_cell(golden):
@@ -95,15 +91,10 @@ def test_bc_matches_golden(golden, suite, name, technique, mode):
     assert got == golden[_key(name, technique, mode)]
 
 
-def _record() -> None:
+def _table() -> dict:
     suite = paper_suite("tiny", seed=7)
-    table = {
-        _key(n, t, m): _digest(_run(suite[n], t, m)) for n, t, m in CELLS
-    }
-    write_golden(GOLDEN, table)
+    return {_key(n, t, m): _digest(_run(suite[n], t, m)) for n, t, m in CELLS}
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(f"usage: {sys.argv[0]} --record")
-    _record()
+    record_main(GOLDEN, _table)

@@ -1,14 +1,19 @@
-"""Unit tests for the shared Runner / fixed-point machinery."""
+"""Unit tests for the shared Runner / fixed-point machinery and source checks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.algorithms.common import EdgeView, Runner, plan_for
-from repro.algorithms.sssp import sssp_relax
+from repro.algorithms.bfs import bfs
+from repro.algorithms.common import EdgeView, Runner, check_source, plan_for
+from repro.algorithms.sssp import sssp, sssp_relax
+from repro.baselines import gunrock, operators
 from repro.core.pipeline import ExecutionPlan, build_plan
 from repro.errors import AlgorithmError
+from repro.graphs.properties import bfs_levels
+from repro.perf.batched import bfs_levels_batched, sssp_batched
+from repro.related.landmarks import build_landmark_index
 
 
 class TestPlanFor:
@@ -20,6 +25,51 @@ class TestPlanFor:
 
     def test_passthrough_plan(self, coalesced_plan):
         assert plan_for(coalesced_plan) is coalesced_plan
+
+
+class TestCheckSource:
+    @pytest.mark.parametrize("source", [0, 7, np.int32(3), np.int64(7)])
+    def test_accepts_integers(self, source):
+        got = check_source(source, 8)
+        assert type(got) is int and got == int(source)
+
+    @pytest.mark.parametrize(
+        "source", [True, False, np.bool_(True), 1.5, 2.0, np.float64(1.0), "2", None]
+    )
+    def test_rejects_non_integers(self, source):
+        with pytest.raises(AlgorithmError, match="not an integer node id"):
+            check_source(source, 8)
+
+    @pytest.mark.parametrize("source", [-1, 8, np.int64(99)])
+    def test_rejects_out_of_range(self, source):
+        with pytest.raises(AlgorithmError, match="out of range"):
+            check_source(source, 8)
+
+
+#: every entry point that takes a source node id
+_SOURCE_ENTRY_POINTS = {
+    "sssp": sssp,
+    "bfs": bfs,
+    "gunrock.sssp_frontier": gunrock.sssp_frontier,
+    "operators.bfs_operators": operators.bfs_operators,
+    "operators.sssp_operators": operators.sssp_operators,
+    "graphs.bfs_levels": bfs_levels,
+    "sssp_batched": lambda g, s: sssp_batched(g, [s]),
+    "bfs_levels_batched": lambda g, s: bfs_levels_batched(g, [s]),
+    "landmarks.estimate_from": lambda g, s: build_landmark_index(
+        g, 2
+    ).estimate_from(s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SOURCE_ENTRY_POINTS))
+@pytest.mark.parametrize("source", [True, 1.5, "2", -1, 8])
+def test_entry_points_reject_bad_sources(weighted_graph, entry, source):
+    """Left to numpy, a bool indexes as a mask (every node a source),
+    a float or string fails with an untyped error, and a batched lane
+    casts to the wrong int; each entry point must raise AlgorithmError."""
+    with pytest.raises(AlgorithmError):
+        _SOURCE_ENTRY_POINTS[entry](weighted_graph, source)
 
 
 class TestEdgeView:

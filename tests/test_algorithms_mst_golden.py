@@ -18,13 +18,11 @@ in the commit)::
 
 from __future__ import annotations
 
-import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from digests import metrics_digest, sha256, write_golden
+from digests import golden_fixture, metrics_digest, record_main, sha256
 
 from repro.algorithms.mst import mst
 from repro.core.pipeline import build_plan
@@ -76,9 +74,7 @@ def suites() -> dict[str, dict]:
     return _suites()
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+golden = golden_fixture(GOLDEN)
 
 
 def test_golden_covers_every_cell(golden):
@@ -91,13 +87,10 @@ def test_mst_matches_golden(golden, suites, weighting, name, technique):
     assert got == golden[_key(weighting, name, technique)]
 
 
-def _record() -> None:
+def _table() -> dict:
     suites = _suites()
-    table = {_key(w, n, t): _digest(suites[w][n], t) for w, n, t in CELLS}
-    write_golden(GOLDEN, table)
+    return {_key(w, n, t): _digest(suites[w][n], t) for w, n, t in CELLS}
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(f"usage: {sys.argv[0]} --record")
-    _record()
+    record_main(GOLDEN, _table)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.algorithms.exact import exact_sssp
-from repro.algorithms.sssp import sssp
+from repro.algorithms.sssp import sssp, sssp_relax
 from repro.core.pipeline import build_plan
 from repro.errors import AlgorithmError
+from repro.graphs.csr import CSRGraph
+from repro.perf.edgeshare import EdgeView
+
+from strategies import multigraphs, random_graphs
 
 
 def _agree_with_dijkstra(graph, source):
@@ -45,6 +50,57 @@ class TestExactness:
             sssp(weighted_graph, -1)
         with pytest.raises(AlgorithmError):
             sssp(weighted_graph, 99)
+
+    @settings(max_examples=40)
+    @given(graph=random_graphs(max_nodes=24, max_edges=120, weighted=True))
+    def test_matches_dijkstra_fuzz(self, graph):
+        _agree_with_dijkstra(graph, int(np.argmax(graph.out_degrees())))
+
+    @settings(max_examples=20)
+    @given(graph=multigraphs(max_nodes=16, max_edges=60, weighted=True))
+    def test_matches_dijkstra_on_multigraphs(self, graph):
+        source = int(np.argmax(graph.out_degrees()))
+        _agree_with_dijkstra(graph, source)
+        # the oracle itself keeps the lighter of parallel edges: it
+        # agrees with Dijkstra on the graph deduplicated to its lightest
+        # copies (from_edges' dedup keeps the first of a stable sort)
+        src, dst = graph.edge_sources(), graph.indices
+        order = np.argsort(graph.weights, kind="stable")
+        lightest = CSRGraph.from_edges(
+            graph.num_nodes, src[order], dst[order], graph.weights[order],
+            dedup=True,
+        )
+        assert np.array_equal(
+            exact_sssp(graph, source), exact_sssp(lightest, source)
+        )
+
+    @pytest.mark.parametrize("dup", [1, 5, 26, 40])
+    def test_lightest_parallel_edge_wins(self, dup):
+        """Two hops 0 -> 1 -> 2, each repeated ``dup`` times with its own
+        weights: the distance takes the lightest copy of each hop."""
+        src = np.repeat(np.array([0, 1], dtype=np.int64), dup)
+        dst = np.repeat(np.array([1, 2], dtype=np.int64), dup)
+        w = np.random.default_rng(dup).uniform(0.5, 5.0, size=src.size)
+        graph = CSRGraph.from_edges(3, src, dst, w, dedup=False)
+        res = _agree_with_dijkstra(graph, 0)
+        assert res.values[1] == w[:dup].min()
+        assert res.values[2] == w[:dup].min() + w[dup:].min()
+
+
+class TestRelax:
+    def test_changed_flag(self):
+        """The flag is raised exactly when some distance improves."""
+        src = np.array([0, 0, 1, 2])
+        dst = np.array([1, 2, 3, 3])
+        w = np.array([1.0, 4.0, 1.0, 1.0])
+        edges = EdgeView(CSRGraph.from_edges(4, src, dst, w))
+        dist = np.array([0.0, np.inf, np.inf, np.inf])
+        assert sssp_relax(edges, dist)
+        assert dist.tolist() == [0.0, 1.0, 4.0, np.inf]
+        assert sssp_relax(edges, dist)
+        assert dist.tolist() == [0.0, 1.0, 4.0, 2.0]
+        assert not sssp_relax(edges, dist)  # already optimal
+        assert dist.tolist() == [0.0, 1.0, 4.0, 2.0]
 
 
 class TestCostAccounting:

@@ -1,13 +1,15 @@
-"""Engine-vs-reference equivalence: the frontier-gather engine's contract.
+"""Engine equivalence: the frontier-gather engine's contract.
 
-The ``repro.perf`` engine is a pure host-side optimisation: for every
-solver it must produce **byte-identical values, identical iteration
-counts, and identical SimMetrics charges** to the pre-refactor reference
-paths preserved in :mod:`repro.perf.reference` (SSSP, WCC).  These tests
-pin that contract across every plan technique (exact, coalescing, shmem,
-divergence).  BC has one engine, anchored by ``bc_golden.json`` and the
-networkx oracle; here its stacked S-source run is held to the same
-sources run one at a time on a shared runner.
+The ``repro.perf`` engine is a pure host-side optimisation: however a
+solve is driven, it must produce **byte-identical values, identical
+iteration counts, and identical SimMetrics charges**.  Recorded truth
+lives in the golden pins (``sssp_wcc_golden.json``, ``bc_golden.json``)
+and the independent oracles; these tests hold the engine's paths to each
+other across every plan technique (exact, coalescing, shmem,
+divergence): single-source SSSP against a one-lane run of the stacked
+multi-source engine (a separate relax over ``(S, n)`` state), every
+schedule against the unscheduled run, and BC's stacked S-source run
+against the same sources run one at a time on a shared runner.
 
 Byte-identical means ``tobytes()`` equality — stricter than
 ``np.array_equal`` (distinguishes ``-0.0`` from ``0.0`` and NaN
@@ -21,10 +23,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bc import betweenness_centrality, pick_sources
+from repro.algorithms.exact import exact_sssp
 from repro.algorithms.sssp import sssp
-from repro.algorithms.wcc import wcc
 from repro.core.pipeline import build_plan
-from repro.perf.reference import sssp_reference, wcc_reference
+from repro.perf.batched import sssp_batched
 from repro.verify.differential import check_bc_lanes
 
 TECHNIQUES = ("exact", "coalescing", "shmem", "divergence")
@@ -47,25 +49,31 @@ def assert_identical(engine_res, reference_res):
     assert engine_res.metrics.total == reference_res.metrics.total
 
 
+def assert_sssp_matches_one_lane(graph, technique, source):
+    """``sssp`` equals a one-lane stacked run, and Dijkstra when exact."""
+    plan = _plan_for(graph, technique)
+    solo = sssp(plan, source)
+    lane = sssp_batched(plan, [source])
+    assert solo.values.dtype == lane.values.dtype
+    assert solo.values.tobytes() == lane.values[0].tobytes()
+    assert solo.iterations == lane.iterations[0]
+    assert solo.metrics.num_sweeps == lane.lane_metrics[0].num_sweeps
+    assert solo.metrics.total == lane.lane_metrics[0].total
+    if technique == "exact":
+        ref = exact_sssp(graph, source)
+        assert np.array_equal(np.isfinite(solo.values), np.isfinite(ref))
+        finite = np.isfinite(ref)
+        assert np.allclose(solo.values[finite], ref[finite])
+
+
 @pytest.mark.parametrize("technique", TECHNIQUES)
 class TestSSSPEquivalence:
     def test_rmat(self, rmat_small, technique):
-        plan = _plan_for(rmat_small, technique)
         source = int(np.argmax(rmat_small.out_degrees()))
-        assert_identical(sssp(plan, source), sssp_reference(plan, source))
+        assert_sssp_matches_one_lane(rmat_small, technique, source)
 
     def test_road(self, road_small, technique):
-        plan = _plan_for(road_small, technique)
-        assert_identical(sssp(plan, 0), sssp_reference(plan, 0))
-
-
-@pytest.mark.parametrize("technique", TECHNIQUES)
-class TestWCCEquivalence:
-    def test_rmat(self, rmat_small, technique):
-        plan = _plan_for(rmat_small, technique)
-        eng, ref = wcc(plan), wcc_reference(plan)
-        assert_identical(eng, ref)
-        assert eng.aux["num_components"] == ref.aux["num_components"]
+        assert_sssp_matches_one_lane(road_small, technique, 0)
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -94,24 +102,24 @@ class TestBCEquivalence:
 @pytest.mark.parametrize("schedule", ["push", "pull", "direction-optimizing"])
 class TestScheduleEquivalence:
     """Schedules are cost-model-only: under ANY schedule the engine must
-    still match the reference paths byte-for-byte in values and
+    still match the unscheduled run byte-for-byte in values and
     iteration counts — including Graffix plans with replica groups —
     and a pull sweep's *charges* must be bit-faithful to its own
     schedule (reproducible), while push-pinned charges coincide with
-    the reference exactly.  BC's reference is its unscheduled run."""
+    the unscheduled run's exactly."""
 
     def test_sssp_values_match_reference(self, rmat_small, technique, schedule):
         plan = _plan_for(rmat_small, technique)
         source = int(np.argmax(rmat_small.out_degrees()))
         eng = sssp(plan, source, schedule=schedule)
-        ref = sssp_reference(plan, source)
+        ref = sssp(plan, source)
         assert eng.values.dtype == ref.values.dtype
         assert eng.values.tobytes() == ref.values.tobytes()
         assert eng.iterations == ref.iterations
         if schedule == "push":
             assert_identical(eng, ref)
         else:
-            # non-push charges differ from the reference by design but
+            # non-push charges differ from push by design but
             # must be deterministic per schedule
             again = sssp(plan, source, schedule=schedule)
             assert eng.metrics.total == again.metrics.total
@@ -119,7 +127,7 @@ class TestScheduleEquivalence:
     def test_sssp_road(self, road_small, technique, schedule):
         plan = _plan_for(road_small, technique)
         eng = sssp(plan, 0, schedule=schedule)
-        ref = sssp_reference(plan, 0)
+        ref = sssp(plan, 0)
         assert eng.values.tobytes() == ref.values.tobytes()
         assert eng.iterations == ref.iterations
 

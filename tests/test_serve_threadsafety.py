@@ -1,16 +1,15 @@
 """Thread-safety regression hammers for the state the serve layer shares.
 
 The server multiplexes one process-wide memory cache tier and the
-workspace pool across N worker threads; these tests hold the audited
-concurrency contracts in place:
+shared edge-view caches across N worker threads; these tests hold the
+audited concurrency contracts in place:
 
 * :class:`repro.cache.lru.LRUCache` — fully lock-guarded: concurrent
   get/put/iterate/len/clear must never corrupt the OrderedDict or raise,
   and the bound must hold at every observation;
-* :class:`repro.perf.workspace.WorkspacePool` — per-thread buffers
-  (``threading.local``): concurrent borrowers of the *same key* must get
-  distinct backing storage per thread, so one thread's sweep scratch can
-  never alias another's.
+* the solvers — concurrent runs over shared views must each get the
+  exact sequential answer, and a relax re-entered mid-sweep must not
+  disturb the outer sweep's change detection.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.cache.lru import LRUCache
-from repro.perf.workspace import WorkspacePool
 
 N_THREADS = 8
 OPS_PER_THREAD = 2000
@@ -112,108 +110,13 @@ class TestLRUCacheHammer:
         assert len(cache) <= 8
 
 
-class TestWorkspacePoolThreads:
-    def test_same_key_distinct_buffers_per_thread(self):
-        """The contract the sweeps rely on: no cross-thread aliasing."""
-        pool = WorkspacePool()
-        results: dict[int, bool] = {}
-
-        def worker(idx):
-            buf = pool.borrow("hammer", 1024)
-            buf[:] = float(idx)
-            # give every other thread time to write its own view, then
-            # check ours was not clobbered
-            for _ in range(200):
-                buf2 = pool.borrow("hammer", 1024)
-                assert buf2 is not None
-                buf2[:] = float(idx)
-                assert (buf2 == float(idx)).all()
-            results[idx] = bool((pool.borrow("hammer", 1024) == float(idx)).all())
-
-        run_hammer(N_THREADS, worker)
-        assert len(results) == N_THREADS
-        assert all(results.values())
-
-    def test_growth_under_concurrency(self):
-        """Concurrent regrowth of the same key stays per-thread-correct."""
-        pool = WorkspacePool()
-
-        def worker(idx):
-            rng = np.random.default_rng(idx)
-            for _ in range(500):
-                size = int(rng.integers(1, 4096))
-                buf = pool.borrow("grow", size, dtype=np.float64)
-                assert buf.size == size
-                buf[:] = idx
-                assert (buf == idx).all()
-
-        run_hammer(N_THREADS, worker)
-
-    def test_clear_only_affects_calling_thread(self):
-        pool = WorkspacePool()
-        ready = threading.Barrier(2)
-        done = threading.Event()
-        observed = {}
-
-        def holder():
-            buf = pool.borrow("k", 64)
-            buf[:] = 7.0
-            ready.wait(timeout=10.0)
-            done.wait(timeout=10.0)  # other thread clears meanwhile
-            observed["intact"] = bool((pool.borrow("k", 64) == 7.0).all())
-
-        def clearer():
-            pool.borrow("k", 64)
-            ready.wait(timeout=10.0)
-            pool.clear()
-            done.set()
-
-        t1 = threading.Thread(target=holder, daemon=True)
-        t2 = threading.Thread(target=clearer, daemon=True)
-        t1.start(), t2.start()
-        t1.join(timeout=15.0), t2.join(timeout=15.0)
-        assert observed["intact"] is True
-
-
-class TestLeaseReentrancy:
-    """Satellite audit of the borrow/return contract: a relax re-entered
-    through a nested runner (serve handlers can call back into solvers)
-    must not alias the outer frame's leased snapshot."""
-
-    def test_nested_lease_same_key_gets_fresh_buffer(self):
-        from repro.obs import metrics as obs_metrics
-
-        pool = WorkspacePool()
-        before = obs_metrics.counter("perf.workspace.reentrant").value
-        with pool.lease("relax.dense", 64) as outer:
-            outer[:] = 1.0
-            with pool.lease("relax.dense", 64) as inner:
-                assert inner is not outer
-                assert not np.shares_memory(inner, outer)
-                inner[:] = 2.0
-            assert (outer == 1.0).all()  # inner frame never clobbered us
-        assert obs_metrics.counter("perf.workspace.reentrant").value == before + 1
-
-    def test_lease_releases_key_after_block(self):
-        pool = WorkspacePool()
-        with pool.lease("k", 16) as a:
-            a[:] = 3.0
-        # key released: next lease reuses the pooled buffer, not a throwaway
-        with pool.lease("k", 16) as b:
-            assert (b == 3.0).all()
-
-    def test_lease_release_on_exception(self):
-        pool = WorkspacePool()
-        with pytest.raises(RuntimeError):
-            with pool.lease("k", 16):
-                raise RuntimeError("boom")
-        # the held-mark must not leak past the failed frame
-        with pool.lease("k", 16) as buf, pool.lease("k", 16) as nested:
-            assert not np.shares_memory(buf, nested)
+class TestRelaxReentrancy:
+    """A relax re-entered through a nested runner (serve handlers can
+    call back into solvers) must not disturb the outer sweep."""
 
     def test_reentrant_sssp_relax_preserves_outer_snapshot(self):
-        """The exact aliasing bug class the lease closes: sssp_relax's
-        dense arm re-entered mid-sweep must not invalidate the outer
+        """sssp_relax re-entered mid-sweep (here, from the outer sweep's
+        first read of ``edges.src``) must not invalidate the outer
         sweep's change detection."""
         from repro.algorithms.sssp import sssp_relax
         from repro.graphs.csr import CSRGraph
@@ -253,8 +156,8 @@ class TestLeaseReentrancy:
 
 
 class TestSolverThreadHammer:
-    """Concurrent solver runs share the workspace pool, edge-view and
-    pull-view caches; every thread must get the exact sequential answer."""
+    """Concurrent solver runs share the edge-view and pull-view caches;
+    every thread must get the exact sequential answer."""
 
     def test_threaded_sssp_and_gunrock_consistent(self):
         from repro.algorithms.sssp import sssp
@@ -282,7 +185,7 @@ def test_server_worker_threads_share_safely():
     """N connections hammering one server: every answer is consistent.
 
     This is the integration face of the two hammers above — the serve
-    worker threads share the memory cache tier and the workspace pool
+    worker threads share the memory cache tier and the edge-view caches
     underneath the solvers.
     """
     from repro.serve.protocol import ServeClient
