@@ -1,59 +1,130 @@
-"""Host-kernel wall-clock benchmark: the tracked perf baseline.
+"""Host-kernel wall-clock ratios: stacked lanes and direction-optimizing.
 
-Times every solver hot path through the ``repro.perf`` engine, then
-writes the machine-readable report to
-``benchmarks/results/BENCH_PR4.json`` — the same artifact
-``python -m repro perf`` emits, and the one CI's perf-smoke job gates
-regressions against.
+Times four comparisons per suite graph, best of 3 each, and writes them
+as one ratio table to ``benchmarks/results/perf_kernels.txt``:
 
-Scale follows ``REPRO_BENCH_SCALE`` (default ``small``).  BC's gate is
-the ``bc@batched`` row — the stacked S-source sweep against the same
-sources as one call each — whose win scales with diameter (per-level
-overhead paid once for all lanes), so the best per-graph row is the
-high-diameter road graph.
+* ``bc@stacked`` — BC's stacked S-source sweep (S = 8) against the same
+  sources run as one single-source call each;
+* ``sssp@batched`` — ``sssp_batched`` over the same 8 sources against
+  looped ``sssp``;
+* ``bfs@diropt`` / ``bc@diropt`` — the direction-optimizing schedule
+  against fixed-push.
+
+``ratio`` is baseline seconds over candidate seconds (> 1 means the
+candidate is faster).  Only BC's stacked win is asserted: its best
+graph must reach ``MIN_BC_STACKED_RATIO``.  The win scales with
+diameter (per-level overhead paid once for all lanes), so the best
+graph is the high-diameter road graph.  Every other ratio is recorded,
+not asserted.  Scale follows ``REPRO_BENCH_SCALE`` (default ``small``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
+import time
 
+import numpy as np
+
+from repro.algorithms.bc import betweenness_centrality, pick_sources
+from repro.algorithms.bfs import bfs
+from repro.algorithms.sssp import sssp
 from repro.eval.reporting import format_table
-from repro.perf.bench import best_speedup, run_bench
+from repro.graphs.generators import paper_suite
+from repro.perf.batched import sssp_batched
 
 from conftest import run_once
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: sources the stacked/batched rows stack (and the looped runs loop)
+LANES = 8
+
+#: sources per run of the ``bc@diropt`` comparison
+BC_SOURCES = 4
+
+#: floor on the best per-graph BC stacked-vs-looped ratio
+MIN_BC_STACKED_RATIO = 1.2
+
+REPEATS = 3
+
+
+def _best_of(fn) -> float:
+    samples = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return min(samples)
+
+
+def _comparisons(g):
+    """``(name, baseline, candidate)`` thunks for one graph."""
+    lanes = [int(s) for s in pick_sources(g.num_nodes, min(LANES, g.num_nodes), 0)]
+    hub = int(np.argmax(g.out_degrees()))
+    diropt = "direction-optimizing"
+
+    def looped(kernel):
+        return lambda: [kernel(s) for s in lanes]
+
+    return [
+        (
+            "bc@stacked",
+            looped(lambda s: betweenness_centrality(g, sources=[s])),
+            lambda: betweenness_centrality(g, sources=lanes),
+        ),
+        (
+            "sssp@batched",
+            looped(lambda s: sssp(g, s)),
+            lambda: sssp_batched(g, lanes),
+        ),
+        (
+            "bfs@diropt",
+            lambda: bfs(g, hub),
+            lambda: bfs(g, hub, schedule=diropt),
+        ),
+        (
+            "bc@diropt",
+            lambda: betweenness_centrality(g, num_sources=BC_SOURCES, seed=0),
+            lambda: betweenness_centrality(
+                g, num_sources=BC_SOURCES, seed=0, schedule=diropt
+            ),
+        ),
+    ]
+
+
+def _measure(scale: str) -> list[dict]:
+    rows = []
+    for graph, g in paper_suite(scale, seed=7).items():
+        for name, baseline, candidate in _comparisons(g):
+            base_s, cand_s = _best_of(baseline), _best_of(candidate)
+            rows.append(
+                {
+                    "comparison": name,
+                    "graph": graph,
+                    "baseline_s": base_s,
+                    "candidate_s": cand_s,
+                    "ratio": base_s / cand_s,
+                }
+            )
+    return rows
 
 
 def test_perf_kernels(benchmark, emit):
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
-    report = run_once(benchmark, lambda: run_bench(scale, repeats=3))
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_PR4.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    rows = [
-        {
-            "kernel": r["kernel"],
-            "graph": r["graph"],
-            "schedule": r["schedule"] or "-",
-            "seconds": r["seconds"],
-        }
-        for r in report["kernels"]
-    ]
+    rows = run_once(benchmark, lambda: _measure(scale))
     emit(
         "perf_kernels",
         format_table(
             rows,
-            ["kernel", "graph", "schedule", "seconds"],
-            title=f"Engine host wall-clock, best of 3 (scale={scale})",
+            ["comparison", "graph", "baseline_s", "candidate_s", "ratio"],
+            title=(
+                f"Kernel wall-clock ratios, best of {REPEATS} (scale={scale}, "
+                f"{LANES} lanes); ratio = baseline_s / candidate_s"
+            ),
             floatfmt="{:,.4f}",
         ),
     )
 
-    # stacking BC's sources must beat running them one call at a time
-    # on its best graph (the floor CI's --min-bc-speedup gates)
-    assert best_speedup(report, "bc@batched", "speedup_vs_looped") > 1.0
+    best = max(r["ratio"] for r in rows if r["comparison"] == "bc@stacked")
+    assert best >= MIN_BC_STACKED_RATIO, (
+        f"best BC stacked-vs-looped ratio {best:.2f}x is below "
+        f"{MIN_BC_STACKED_RATIO}x"
+    )

@@ -7,18 +7,18 @@ Subcommands:
   (see :mod:`repro.obs.stats`);
 * ``cache {stats,ls,clear}`` — inspect or clear the on-disk artifact
   cache (see :mod:`repro.cache.cli` and ``docs/caching.md``);
-* ``perf`` — time the solver kernels and emit/check the tracked perf
-  baseline (see :mod:`repro.perf.bench` and ``docs/performance.md``);
 * ``verify`` — the structural/metamorphic/differential/golden oracle
   suite (see :mod:`repro.verify` and ``docs/verification.md``);
 * ``serve`` — the long-lived analytics query server (see
   :mod:`repro.serve` and ``docs/serving.md``);
 * ``bench serve`` — the YAML load generator + KPI gate against the
   server (:mod:`repro.serve.loadgen`), emitting ``BENCH_SERVE.json``;
-* ``obs diff A B`` — noise-aware comparison of two perf/metrics/trace/
-  verify reports (see :mod:`repro.obs.diff` and ``docs/observability.md``);
-* ``tune`` — the offline knob auto-tuner emitting ``BENCH_TUNE.json``
-  (see :mod:`repro.tune` and ``docs/tuning.md``).
+* ``obs diff A B`` — noise-aware comparison of two tune/metrics/verify/
+  profile/trace reports (see :mod:`repro.obs.diff` and
+  ``docs/observability.md``);
+* ``tune`` — the offline knob auto-tuner emitting
+  ``benchmarks/results/BENCH_TUNE.json`` (see :mod:`repro.tune` and
+  ``docs/tuning.md``).
 """
 
 import sys
@@ -46,10 +46,6 @@ def main(argv=None):
         from .cache.cli import main as cache_main
 
         return cache_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from .perf.bench import main as perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] == "tune":
         from .tune.cli import main as tune_main
 

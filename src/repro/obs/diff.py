@@ -1,23 +1,21 @@
 """``python -m repro obs diff A B``: noise-aware performance comparison.
 
-Raw-ratio thresholds ("fail if 1.1× slower") are how perf gates rot:
-too tight and they cry wolf on every noisy CI runner, too loose and
-real regressions slide under them.  This comparator is *noise-aware*
-instead — every comparison carries a per-pair threshold derived from
-the **repeated-run spread** of the underlying measurements (the
-``samples`` lists ``repro perf`` records per kernel), falling back to a
-configurable relative noise floor when no samples exist.  The verdict
-per pair is one of ``improved`` / ``regressed`` / ``neutral`` (plus
-``below-floor`` for values too small to compare meaningfully and
-``added``/``removed`` for asymmetric keys), and the run's exit status
-is non-zero iff anything regressed.
+Every pair of values is compared against one relative noise band,
+``--noise``: a candidate must move further than that from its baseline
+before the pair gets a verdict.  The verdict per pair is one of
+``improved`` / ``regressed`` / ``neutral`` (plus ``below-floor`` for
+values too small to compare meaningfully and ``added``/``removed`` for
+asymmetric keys), and the run's exit status is non-zero iff anything
+regressed.
 
 Comparable inputs (auto-detected by shape):
 
-* **perf bench reports** (``BENCH_*.json`` from ``python -m repro
-  perf``) — per (kernel, graph) min-of-N seconds with sample spreads;
-* **trajectory files** (``benchmarks/results/TRAJECTORY.json``) — the
-  last recorded entry's report is compared (``--entry`` picks another);
+* **tune reports** (``benchmarks/results/BENCH_TUNE.json`` from
+  ``python -m repro tune``) — per family tuned cycles, inverse speedup
+  over the best static knobs and inaccuracy;
+* **trajectory files** (``benchmarks/results/TRAJECTORY_TUNE.json``) —
+  the last recorded entry's report is compared (``--entry`` picks
+  another);
 * **metrics snapshots** (``--metrics-out`` JSON) — histogram means and
   time-like gauges;
 * **verify reports** (``--report`` of ``python -m repro verify``) — the
@@ -29,11 +27,9 @@ Comparable inputs (auto-detected by shape):
   sampled seconds.
 
 The verdict math, for lower-is-better values ``a`` (baseline) and ``b``
-(candidate): ``spread(x) = (max(samples) - min(samples)) / min(samples)``
-per side, ``threshold = max(noise_floor, spread_a, spread_b)``, then
-``b/a > 1 + threshold`` ⇒ regressed, ``b/a < 1/(1 + threshold)`` ⇒
-improved, else neutral.  Min-of-N is the location estimate because for
-wall-clock the minimum is the least-contended observation.
+(candidate): ``b/a > 1 + noise`` ⇒ regressed, ``b/a < 1/(1 + noise)``
+⇒ improved, else neutral.  An input of none of these shapes, or one
+missing a field its kind needs, raises ``ValueError`` (exit 2).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 __all__ = [
     "load_comparable",
@@ -54,7 +50,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: default relative noise floor when neither side carries samples
+#: default relative noise band around a baseline value
 DEFAULT_NOISE = 0.25
 
 #: seconds below which a pair is not compared at all (timer granularity
@@ -73,11 +69,10 @@ VERDICTS = ("improved", "regressed", "neutral", "below-floor", "added", "removed
 def load_comparable(path: str | Path, *, entry: int = -1) -> tuple[str, Any]:
     """Load one input file; returns ``(kind, payload)``.
 
-    ``kind`` is one of ``perf`` / ``tune`` / ``metrics`` / ``verify`` /
-    ``profile`` / ``trace``.  Trajectory files resolve to the report of
-    their ``entry``-th recorded point (default: the last), re-detecting
-    the embedded report's kind — perf and tune trajectories share the
-    same envelope.
+    ``kind`` is one of ``tune`` / ``metrics`` / ``verify`` / ``profile``
+    / ``trace``.  Trajectory files resolve to the report of their
+    ``entry``-th recorded point (default: the last), re-detecting the
+    embedded report's kind.
     """
     path = Path(path)
     if not path.exists():
@@ -94,35 +89,37 @@ def load_comparable(path: str | Path, *, entry: int = -1) -> tuple[str, Any]:
             if "\n" in stripped.strip():
                 return "trace", _trace_spans(path)
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-        if isinstance(obj, Mapping):
-            if "span_id" in obj and "duration" in obj:
-                return "trace", _trace_spans(path)  # one-span JSONL trace
-            if "entries" in obj and isinstance(obj["entries"], list):
-                entries = obj["entries"]
-                if not entries:
-                    raise ValueError(f"trajectory {path} has no entries")
-                try:
-                    picked = entries[entry]
-                except IndexError:
-                    raise ValueError(
-                        f"trajectory {path} has {len(entries)} entries; "
-                        f"--entry {entry} is out of range"
-                    ) from None
-                inner = picked["report"]
-                kind = _mapping_kind(inner) if isinstance(inner, Mapping) else None
-                return kind or "perf", inner
-            kind = _mapping_kind(obj)
-            if kind is not None:
-                return kind, obj
-            if "traceEvents" in obj:
-                return "trace", _trace_spans(path)
-        raise ValueError(f"{path}: unrecognized report shape")
+        if "span_id" in obj and "duration" in obj:
+            return "trace", _trace_spans(path)  # one-span JSONL trace
+        if "traceEvents" in obj:
+            return "trace", _trace_spans(path)
+        if isinstance(obj.get("entries"), list):
+            obj = _trajectory_report(path, obj["entries"], entry)
+        kind = _mapping_kind(obj)
+        if kind is not None:
+            return kind, obj
+    raise ValueError(f"{path}: unrecognized report shape")
+
+
+def _trajectory_report(path: Path, entries: list, entry: int) -> Mapping:
+    """The ``report`` of a trajectory's ``entry``-th recorded point."""
+    if not entries:
+        raise ValueError(f"trajectory {path} has no entries")
+    try:
+        picked = entries[entry]
+    except IndexError:
+        raise ValueError(
+            f"trajectory {path} has {len(entries)} entries; "
+            f"--entry {entry} is out of range"
+        ) from None
+    report = picked.get("report") if isinstance(picked, Mapping) else None
+    if not isinstance(report, Mapping):
+        raise ValueError(f"trajectory {path} entry {entry} has no report")
+    return report
 
 
 def _mapping_kind(obj: Mapping) -> str | None:
     """Shape-detect a mapping report's kind (``None`` if unrecognized)."""
-    if "kernels" in obj:
-        return "perf"
     if "families" in obj:
         return "tune"
     if "checks" in obj:
@@ -132,8 +129,6 @@ def _mapping_kind(obj: Mapping) -> str | None:
     if "counters" in obj or "histograms" in obj or "gauges" in obj:
         return "metrics"
     return None
-    # JSONL trace (one span per line)
-    return "trace", _trace_spans(path)
 
 
 def _trace_spans(path: Path):
@@ -143,80 +138,40 @@ def _trace_spans(path: Path):
 
 
 # ---------------------------------------------------------------------------
-# series extraction: kind-specific -> {key: {"value", "samples"?}}
+# series extraction: kind-specific -> {key: value}
 # ---------------------------------------------------------------------------
-def extract_series(kind: str, payload: Any) -> dict[str, dict]:
+def extract_series(kind: str, payload: Any) -> dict[str, float]:
     """Flatten one loaded input into comparable lower-is-better series."""
-    if kind == "perf":
-        out = {}
-        for row in payload.get("kernels", []):
-            key = f"perf:{row['kernel']}/{row['graph']}:seconds"
-            out[key] = {
-                "value": float(row["seconds"]),
-                "samples": [float(s) for s in row.get("samples", [])] or None,
-            }
-            if "speedup_vs_looped" in row:
-                # @batched rows also gate their batching win as a
-                # lower-is-better series (inverse speedup): losing the
-                # stacked-sweep advantage trips the diff even when raw
-                # seconds stay inside the noise band
-                spd = float(row["speedup_vs_looped"])
-                if spd > 0:
-                    out[f"perf:{row['kernel']}/{row['graph']}:inv_speedup_vs_looped"] = {
-                        "value": 1.0 / spd,
-                        "samples": None,
-                    }
-            if "speedup_vs_static" in row:
-                # @tuned rows likewise gate the adaptive controller's
-                # win over the static-knob run
-                spd = float(row["speedup_vs_static"])
-                if spd > 0:
-                    out[f"perf:{row['kernel']}/{row['graph']}:inv_speedup_vs_static"] = {
-                        "value": 1.0 / spd,
-                        "samples": None,
-                    }
-        return out
     if kind == "tune":
         # all series lower-is-better: charged cycles are deterministic,
         # so losing the tuned win or gaining inaccuracy trips the diff
         out = {}
         for family, rec in (payload.get("families") or {}).items():
-            out[f"tune:{family}:tuned_cycles"] = {
-                "value": float(rec["tuned"]["cycles"]), "samples": None
-            }
+            out[f"tune:{family}:tuned_cycles"] = float(rec["tuned"]["cycles"])
             spd = float(rec.get("speedup_vs_static") or 0.0)
             if spd > 0:
-                out[f"tune:{family}:inv_speedup_vs_static"] = {
-                    "value": 1.0 / spd, "samples": None
-                }
-            out[f"tune:{family}:inaccuracy_percent"] = {
-                "value": float(rec["tuned"]["inaccuracy_percent"]),
-                "samples": None,
-            }
+                out[f"tune:{family}:inv_speedup_vs_static"] = 1.0 / spd
+            out[f"tune:{family}:inaccuracy_percent"] = float(
+                rec["tuned"]["inaccuracy_percent"]
+            )
         return out
     if kind == "verify":
         gauges = ((payload.get("metrics") or {}).get("gauges")) or {}
         return {
-            f"verify:{name.removeprefix('verify.check.seconds.')}": {
-                "value": float(v), "samples": None
-            }
+            f"verify:{name.removeprefix('verify.check.seconds.')}": float(v)
             for name, v in gauges.items()
             if name.startswith("verify.check.seconds.")
         }
     if kind == "profile":
         return {
-            f"profile:{row['span']}:seconds": {
-                "value": float(row["seconds"]), "samples": None
-            }
+            f"profile:{row['span']}:seconds": float(row["seconds"])
             for row in payload.get("spans", [])
         }
     if kind == "trace":
         from .stats import span_stats
 
         return {
-            f"trace:{row['name']}:self_seconds": {
-                "value": float(row["self"]), "samples": None
-            }
+            f"trace:{row['name']}:self_seconds": float(row["self"])
             for row in span_stats(payload)
         }
     if kind == "metrics":
@@ -224,12 +179,10 @@ def extract_series(kind: str, payload: Any) -> dict[str, dict]:
         for name, h in (payload.get("histograms") or {}).items():
             count = int(h.get("count", 0))
             if count:
-                out[f"metrics:{name}:mean"] = {
-                    "value": float(h["total"]) / count, "samples": None
-                }
+                out[f"metrics:{name}:mean"] = float(h["total"]) / count
         for name, v in (payload.get("gauges") or {}).items():
             if name.endswith(_TIME_GAUGE_MARKERS) or ".seconds." in name:
-                out[f"metrics:{name}"] = {"value": float(v), "samples": None}
+                out[f"metrics:{name}"] = float(v)
         return out
     raise ValueError(f"unknown input kind {kind!r}")
 
@@ -237,17 +190,9 @@ def extract_series(kind: str, payload: Any) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 # the noise-aware comparison
 # ---------------------------------------------------------------------------
-def _spread(samples: Sequence[float] | None) -> float:
-    """Relative repeated-run spread: (max - min) / min, 0 without samples."""
-    if not samples or len(samples) < 2:
-        return 0.0
-    lo, hi = min(samples), max(samples)
-    return (hi - lo) / lo if lo > 0 else 0.0
-
-
 def compare_series(
-    a: dict[str, dict],
-    b: dict[str, dict],
+    a: dict[str, float],
+    b: dict[str, float],
     *,
     noise: float = DEFAULT_NOISE,
     min_value: float = DEFAULT_MIN_VALUE,
@@ -255,43 +200,37 @@ def compare_series(
     """Pair up two series dicts and attach a verdict to every key."""
     pairs: list[dict] = []
     for key in sorted(set(a) | set(b)):
-        ra, rb = a.get(key), b.get(key)
-        if ra is None or rb is None:
-            pairs.append(
-                {
-                    "key": key,
-                    "a": None if ra is None else ra["value"],
-                    "b": None if rb is None else rb["value"],
-                    "verdict": "added" if ra is None else "removed",
-                }
-            )
-            continue
-        va = min([ra["value"]] + (ra.get("samples") or []))
-        vb = min([rb["value"]] + (rb.get("samples") or []))
+        va, vb = a.get(key), b.get(key)
         pair: dict[str, Any] = {"key": key, "a": va, "b": vb}
-        if va < min_value and vb < min_value:
-            pair["verdict"] = "below-floor"
-            pairs.append(pair)
-            continue
-        threshold = max(
-            float(noise), _spread(ra.get("samples")), _spread(rb.get("samples"))
-        )
-        pair["threshold"] = round(threshold, 6)
-        if va <= 0.0:
-            pair["verdict"] = "regressed" if vb > min_value else "neutral"
-            pair["ratio"] = None
-            pairs.append(pair)
-            continue
-        ratio = vb / va
-        pair["ratio"] = round(ratio, 6)
-        if ratio > 1.0 + threshold:
-            pair["verdict"] = "regressed"
-        elif ratio < 1.0 / (1.0 + threshold):
-            pair["verdict"] = "improved"
-        else:
-            pair["verdict"] = "neutral"
         pairs.append(pair)
+        if va is None or vb is None:
+            pair["verdict"] = "added" if va is None else "removed"
+        elif va < min_value and vb < min_value:
+            pair["verdict"] = "below-floor"
+        elif va <= 0.0:
+            pair["ratio"] = None
+            pair["verdict"] = "regressed" if vb > min_value else "neutral"
+        else:
+            ratio = vb / va
+            pair["ratio"] = round(ratio, 6)
+            if ratio > 1.0 + noise:
+                pair["verdict"] = "regressed"
+            elif ratio < 1.0 / (1.0 + noise):
+                pair["verdict"] = "improved"
+            else:
+                pair["verdict"] = "neutral"
     return pairs
+
+
+def _load_series(path: str | Path, entry: int) -> tuple[str, dict[str, float]]:
+    """Load one input and flatten it; a missing field is a ``ValueError``."""
+    kind, payload = load_comparable(path, entry=entry)
+    try:
+        return kind, extract_series(kind, payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"{path}: malformed {kind} report ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def diff_files(
@@ -304,19 +243,14 @@ def diff_files(
     entry_b: int = -1,
 ) -> dict:
     """Compare two report files; returns the machine-readable diff."""
-    kind_a, payload_a = load_comparable(path_a, entry=entry_a)
-    kind_b, payload_b = load_comparable(path_b, entry=entry_b)
+    kind_a, series_a = _load_series(path_a, entry_a)
+    kind_b, series_b = _load_series(path_b, entry_b)
     if kind_a != kind_b:
         raise ValueError(
             f"cannot diff a {kind_a} report against a {kind_b} report "
             f"({path_a} vs {path_b})"
         )
-    pairs = compare_series(
-        extract_series(kind_a, payload_a),
-        extract_series(kind_b, payload_b),
-        noise=noise,
-        min_value=min_value,
-    )
+    pairs = compare_series(series_a, series_b, noise=noise, min_value=min_value)
     summary = {v: 0 for v in VERDICTS}
     for p in pairs:
         summary[p["verdict"]] += 1
@@ -348,8 +282,6 @@ def format_diff(report: dict, *, verbose: bool = False) -> str:
         b = "—" if p["b"] is None else f"{p['b']:.6g}"
         ratio = p.get("ratio")
         extra = "" if ratio is None else f"  x{ratio:.3f}"
-        thr = p.get("threshold")
-        extra += "" if thr is None else f" (±{thr:.0%})"
         lines.append(f"  {p['verdict'].upper():10s} {p['key']}: {a} -> {b}{extra}")
     if not shown:
         lines.append("  (all pairs neutral)")
@@ -366,16 +298,16 @@ def format_diff(report: dict, *, verbose: bool = False) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro obs diff",
-        description="Noise-aware comparison of two perf/metrics/trace/"
-        "verify reports; exits non-zero on regressions "
+        description="Noise-aware comparison of two tune/metrics/verify/"
+        "profile/trace reports; exits non-zero on regressions "
         "(see docs/observability.md for the cookbook).",
     )
-    parser.add_argument("a", help="baseline report (or TRAJECTORY.json)")
-    parser.add_argument("b", help="candidate report (or TRAJECTORY.json)")
+    parser.add_argument("a", help="baseline report (or a trajectory file)")
+    parser.add_argument("b", help="candidate report (or a trajectory file)")
     parser.add_argument(
         "--noise", type=float, default=DEFAULT_NOISE,
-        help="relative noise floor when no sample spread is available "
-        f"(default {DEFAULT_NOISE})",
+        help="relative noise band a ratio must clear to count as a "
+        f"regression or improvement (default {DEFAULT_NOISE})",
     )
     parser.add_argument(
         "--min-value", type=float, default=DEFAULT_MIN_VALUE,
@@ -383,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--entry", type=int, default=-1,
-        help="trajectory entry to use when an input is a TRAJECTORY.json "
+        help="trajectory entry to use when an input is a trajectory file "
         "(default -1: the last recorded point)",
     )
     parser.add_argument("--out", default=None, help="write the JSON diff here")

@@ -19,7 +19,7 @@ Overhead is bounded by construction: sampling costs one
 ``sys._current_frames()`` call plus a bounded stack walk per live
 thread, paid ``1/interval`` times per second regardless of how hot the
 profiled code is.  At the default 5 ms interval the measured overhead on
-the perf smoke workload is well under the documented 5 % bound
+a small kernel workload is well under the documented 5 % bound
 (asserted by ``tests/test_obs_prof.py``, not just claimed here).
 
 Memory attribution is opt-in (``memory=True``): :mod:`tracemalloc` is
@@ -29,10 +29,10 @@ more than the sampler (it hooks every allocation), which is why it is
 not part of the default profile and excluded from the overhead bound.
 
 CLI integration: ``--profile PREFIX`` (or ``REPRO_PROFILE=PREFIX``) on
-``python -m repro`` (suite), ``python -m repro perf`` and ``python -m
-repro serve`` writes ``PREFIX.collapsed`` (flamegraph input) and
-``PREFIX.json`` (the machine-readable span report, diffable with
-``python -m repro obs diff``).  ``REPRO_PROFILE_INTERVAL_MS`` overrides
+``python -m repro`` (suite) and ``python -m repro serve`` writes
+``PREFIX.collapsed`` (flamegraph input) and ``PREFIX.json`` (the
+machine-readable span report, diffable with ``python -m repro obs
+diff``).  ``REPRO_PROFILE_INTERVAL_MS`` overrides
 the sampling interval.
 """
 

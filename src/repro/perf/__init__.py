@@ -4,7 +4,7 @@ The simulator charges kernels as if they did work proportional to the
 active frontier, but several host-side implementations historically did
 asymptotically *more* work than the GPU kernels they model (full-edge
 ``np.isin`` scans per BFS level).  This package closes that gap with
-shared primitives plus a tracked wall-clock benchmark:
+shared primitives:
 
 * :mod:`repro.perf.gather` — O(frontier-edges) CSR gathers
   (:func:`~repro.perf.gather.frontier_edges`) and the touched-destinations
@@ -30,9 +30,7 @@ shared primitives plus a tracked wall-clock benchmark:
   :func:`~repro.perf.batched.sssp_batched` entry points behind the
   serve layer's batching window.  BC's one engine
   (:func:`repro.algorithms.bc.betweenness_centrality`) is built on the
-  same stacking;
-* :mod:`repro.perf.bench` — ``python -m repro perf``, the kernel
-  benchmark that emits ``BENCH_PR4.json`` and gates regressions in CI.
+  same stacking.
 
 Values and simulated-cycle charges are pinned by recorded golden
 digests (``tests/*_golden.json``) and the independent oracles in

@@ -83,9 +83,10 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the pressure-driven approximate-plan ladder",
     )
     parser.add_argument(
-        "--tune-config", default=None, metavar="BENCH_TUNE.json",
-        help="auto-tuner report whose serve block drives the level-2 "
-        "reduced-work knobs (default: historical halving fallbacks)",
+        "--tune-config", default=None, metavar="PATH",
+        help="auto-tuner report (benchmarks/results/BENCH_TUNE.json) whose "
+        "serve block drives the level-2 reduced-work knobs (default: "
+        "historical halving fallbacks)",
     )
     parser.add_argument(
         "--batch-window-ms", type=float, default=0.0,

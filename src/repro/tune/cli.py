@@ -1,17 +1,20 @@
 """``python -m repro tune`` — the offline knob auto-tuner CLI.
 
 Runs :func:`repro.tune.search.run_tune` over the paper suite, prints a
-per-family table, writes ``BENCH_TUNE.json`` and (optionally) appends
-to the tune trajectory so ``repro obs diff`` can gate drift.  Exit code
-is non-zero when ``--min-speedup`` is set and no family reaches it, or
-when any family's tuned config blows the budget — the contract the
-``tune-smoke`` CI job relies on.
+per-family table, writes ``benchmarks/results/BENCH_TUNE.json`` and
+(optionally) appends to the tune trajectory so ``repro obs diff`` can
+gate drift.  Exit code is 1 when ``--min-speedup`` is set and no family
+reaches it, or when any family's tuned config blows the budget — the
+contract the ``tune-smoke`` CI job relies on — and 2, before any
+search, when ``--record-trajectory`` names a file that is not a
+trajectory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import time
 from pathlib import Path
 
@@ -19,10 +22,60 @@ from ..cache import memo
 from ..obs import metrics as obs_metrics
 from .search import DEFAULT_BUDGET_PERCENT, run_tune
 
-__all__ = ["main"]
+__all__ = ["main", "record_trajectory"]
 
-TUNE_REPORT_PATH = "BENCH_TUNE.json"
+TUNE_REPORT_PATH = "benchmarks/results/BENCH_TUNE.json"
 TRAJECTORY_PATH = "benchmarks/results/TRAJECTORY_TUNE.json"
+
+
+def _git_commit() -> str:
+    """Short commit hash of the working tree, or ``unknown`` outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return out.stdout.strip() or "unknown" if out.returncode == 0 else "unknown"
+
+
+def _load_trajectory(path: Path) -> dict:
+    """The ``{"entries": [...]}`` envelope at ``path`` (empty if absent)."""
+    if not path.exists():
+        return {"schema": 1, "entries": []}
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        doc = None
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ValueError(f"{path} is not a trajectory file")
+    return doc
+
+
+def record_trajectory(report: dict, path: str | Path = TRAJECTORY_PATH) -> dict:
+    """Append ``report`` (with provenance) to the trajectory file.
+
+    The file is ``{"schema": 1, "entries": [...]}``; each entry carries
+    the commit the run was taken at and the search config, so a future
+    ``obs diff`` verdict can always be traced to what was measured
+    where.  Returns the appended entry.
+    """
+    path = Path(path)
+    doc = _load_trajectory(path)
+    entry = {
+        "recorded_unix": report.get("generated_unix", time.time()),
+        "commit": _git_commit(),
+        "config": {
+            key: report.get(key)
+            for key in ("scale", "seed", "budget_percent", "quick")
+        },
+        "report": report,
+    }
+    doc["entries"].append(entry)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return entry
 
 
 def _format_report(report: dict) -> str:
@@ -112,6 +165,12 @@ def main(argv: list[str] | None = None) -> int:
         help="fail unless some family's speedup_vs_static reaches this",
     )
     args = parser.parse_args(argv)
+    if args.record_trajectory:
+        # refuse a bad trajectory path before the search, not after it
+        try:
+            _load_trajectory(Path(args.record_trajectory))
+        except ValueError as exc:
+            parser.error(str(exc))
 
     if args.cache_dir:
         memo.configure(cache_dir=args.cache_dir)
@@ -132,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out}")
 
     if args.record_trajectory:
-        from ..perf.bench import record_trajectory
-
         entry = record_trajectory(report, args.record_trajectory)
         print(
             f"recorded trajectory entry at commit {entry['commit']} "

@@ -1,7 +1,7 @@
 """Tests for the sampling profiler (repro.obs.prof).
 
 The two acceptance bounds from the observability issue live here and
-are *measured*, not asserted by fiat: on a perf-bench-shaped workload
+are *measured*, not asserted by fiat: on a kernel-benchmark-shaped workload
 the profiler must attribute >= 90 % of samples to known spans, and at
 the default interval its overhead on that workload must stay under the
 documented 5 % bound.
@@ -189,26 +189,26 @@ class TestCliPlumbing:
 
 
 class TestAcceptanceBounds:
-    """The issue's measured bounds on a perf-bench-shaped workload."""
+    """The documented bounds, measured on a kernel-benchmark-shaped workload."""
 
     def _bench_workload(self):
-        """A miniature of what `repro perf` does under its spans."""
+        """A miniature kernel benchmark: repeated solves under spans."""
         from repro.graphs.generators import paper_suite
 
-        with obs_trace.span("perf.bench.run"):
-            with obs_trace.span("perf.bench.suite"):
+        with obs_trace.span("bench.run"):
+            with obs_trace.span("bench.suite"):
                 suite = paper_suite("tiny", seed=7)
             from repro.algorithms.bfs import bfs
             from repro.algorithms.pagerank import pagerank
 
-            for _ in range(4):  # repeats, like the bench's best-of-N
+            for _ in range(4):  # repeats, like a benchmark's best-of-N
                 for name, graph in suite.items():
                     with obs_trace.span(
-                        "perf.bench.kernel", kernel="bfs", graph=name
+                        "bench.kernel", kernel="bfs", graph=name
                     ):
                         bfs(graph, 0)
                     with obs_trace.span(
-                        "perf.bench.kernel", kernel="pagerank", graph=name
+                        "bench.kernel", kernel="pagerank", graph=name
                     ):
                         pagerank(graph)
 

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.graphs.csr import CSRGraph
 from repro.obs import metrics as obs_metrics
-from repro.perf.bench import best_speedup, check_regressions, main as perf_main, run_bench
 from repro.perf.edgeshare import edge_view_cache, shared_edge_view
 from repro.perf.gather import frontier_edges, scatter_min_changed
 
@@ -116,56 +113,3 @@ class TestSharedEdgeView:
         assert np.array_equal(view.weights, rmat_small.effective_weights())
         assert view.src.size == rmat_small.num_edges
         assert rmat_small.fingerprint() in edge_view_cache()
-
-
-class TestBenchHarness:
-    def test_run_bench_tiny(self):
-        report = run_bench("tiny", repeats=1, graphs=["rmat"])
-        assert report["schema"] == 1
-        kernels = {r["kernel"] for r in report["kernels"]}
-        assert {"bc", "sssp", "wcc", "bfs", "pagerank", "gunrock_sssp"} <= kernels
-        bc = next(r for r in report["kernels"] if r["kernel"] == "bc")
-        assert bc["seconds"] > 0
-        # the gated BC speedup is the stacked run over the same sources
-        # one call at a time; no row carries a reference timing
-        assert not any("reference_seconds" in r for r in report["kernels"])
-        stacked = next(r for r in report["kernels"] if r["kernel"] == "bc@batched")
-        assert stacked["speedup_vs_looped"] > 0
-        assert best_speedup(report, "bc@batched", "speedup_vs_looped") == (
-            stacked["speedup_vs_looped"]
-        )
-
-    def test_check_regressions(self):
-        row = {"kernel": "bc", "graph": "rmat", "seconds": 1.0}
-        base = {"kernels": [dict(row, seconds=0.4)]}
-        cur = {"kernels": [row]}
-        assert check_regressions(cur, base, max_regression=2.0)
-        assert not check_regressions(cur, base, max_regression=3.0)
-        # kernels absent from the baseline never fail the gate
-        cur2 = {"kernels": [dict(row, graph="new-graph")]}
-        assert not check_regressions(cur2, base, max_regression=2.0)
-
-    def test_cli_writes_report_and_gates(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        status = perf_main(
-            ["--scale", "tiny", "--repeats", "1", "--graphs", "rmat",
-             "--out", str(out)]
-        )
-        assert status == 0
-        report = json.loads(out.read_text())
-        assert report["kernels"]
-        # self-check against the report just written: nothing regressed
-        status = perf_main(
-            ["--scale", "tiny", "--repeats", "1", "--graphs", "rmat",
-             "--out", str(out), "--check", str(out), "--max-regression", "1000"]
-        )
-        assert status == 0
-        assert "no kernel regressed" in capsys.readouterr().out
-
-    def test_cli_min_bc_speedup_gate_fails_when_unreachable(self, tmp_path):
-        out = tmp_path / "bench.json"
-        status = perf_main(
-            ["--scale", "tiny", "--repeats", "1", "--graphs", "rmat",
-             "--out", str(out), "--min-bc-speedup", "1e9"]
-        )
-        assert status == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,8 @@ from repro.graphs.generators import paper_suite
 from repro.gpusim.device import DeviceConfig
 from repro.obs.diff import diff_files, extract_series, load_comparable
 from repro.tune import run_tune, serve_overrides, tune_family
-from repro.tune.cli import main as tune_main
+from repro.tune import cli as tune_cli
+from repro.tune.cli import main as tune_main, record_trajectory
 from repro.tune.search import _candidates, _plan_with_threshold
 
 #: small device so the transforms do real work on the tiny suite
@@ -202,6 +204,48 @@ class TestTuneCli:
         doc = json.loads(traj.read_text())
         assert len(doc["entries"]) == 1
         assert doc["entries"][0]["report"]["families"]
+
+    def test_record_trajectory_appends_with_provenance(self, tmp_path):
+        report = {"scale": "tiny", "seed": 7, "budget_percent": 20.0,
+                  "quick": True, "families": {}}
+        path = tmp_path / "sub" / "traj.json"
+        entry = record_trajectory(report, path)
+        assert entry["commit"]
+        assert entry["config"] == {"scale": "tiny", "seed": 7,
+                                   "budget_percent": 20.0, "quick": True}
+        record_trajectory(report, path)
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == 1
+        assert [e["report"] for e in doc["entries"]] == [report, report]
+
+    def test_record_trajectory_refuses_non_trajectory(self, tmp_path):
+        path = tmp_path / "not-trajectory.json"
+        path.write_text(json.dumps({"families": {}}))
+        with pytest.raises(ValueError, match="not a trajectory"):
+            record_trajectory({"families": {}}, path)
+
+    @pytest.mark.parametrize("text", ["[]", "hello", '{"entries": {}}'])
+    def test_bad_trajectory_path_fails_before_search(
+        self, tmp_path, monkeypatch, capsys, text
+    ):
+        def no_search(**_):
+            raise AssertionError("the search ran before the path check")
+
+        monkeypatch.setattr(tune_cli, "run_tune", no_search)
+        traj = tmp_path / "traj.json"
+        traj.write_text(text)
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            tune_main(["--quick", "--out", str(out),
+                       "--record-trajectory", str(traj)])
+        assert exc.value.code == 2
+        assert "not a trajectory" in capsys.readouterr().err
+        assert not out.exists() and traj.read_text() == text
+
+    def test_default_paths_are_committed_files(self):
+        root = Path(__file__).resolve().parents[1]
+        for rel in (tune_cli.TUNE_REPORT_PATH, tune_cli.TRAJECTORY_PATH):
+            assert (root / rel).is_file(), rel
 
 
 class TestObsDiffTuneKind:
