@@ -1,12 +1,10 @@
 """Host-kernel wall-clock ratios: stacked lanes and direction-optimizing.
 
-Times four comparisons per suite graph, best of 3 each, and writes them
+Times three comparisons per suite graph, best of 3 each, and writes them
 as one ratio table to ``benchmarks/results/perf_kernels.txt``:
 
 * ``bc@stacked`` — BC's stacked S-source sweep (S = 8) against the same
   sources run as one single-source call each;
-* ``sssp@batched`` — ``sssp_batched`` over the same 8 sources against
-  looped ``sssp``;
 * ``bfs@diropt`` / ``bc@diropt`` — the direction-optimizing schedule
   against fixed-push.
 
@@ -27,14 +25,12 @@ import numpy as np
 
 from repro.algorithms.bc import betweenness_centrality, pick_sources
 from repro.algorithms.bfs import bfs
-from repro.algorithms.sssp import sssp
 from repro.eval.reporting import format_table
 from repro.graphs.generators import paper_suite
-from repro.perf.batched import sssp_batched
 
 from conftest import run_once
 
-#: sources the stacked/batched rows stack (and the looped runs loop)
+#: sources the stacked row stacks (and its looped run loops)
 LANES = 8
 
 #: sources per run of the ``bc@diropt`` comparison
@@ -69,11 +65,6 @@ def _comparisons(g):
             "bc@stacked",
             looped(lambda s: betweenness_centrality(g, sources=[s])),
             lambda: betweenness_centrality(g, sources=lanes),
-        ),
-        (
-            "sssp@batched",
-            looped(lambda s: sssp(g, s)),
-            lambda: sssp_batched(g, lanes),
         ),
         (
             "bfs@diropt",

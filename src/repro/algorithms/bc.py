@@ -45,7 +45,7 @@ from ..perf.batched import (
 )
 from ..perf.gather import SweepExpansion, expand_frontier
 from ..perf.schedule import schedule_for
-from .common import AlgorithmResult, Runner, plan_for
+from .common import AlgorithmResult, Runner, check_source, plan_for
 
 __all__ = ["betweenness_centrality", "pick_sources"]
 
@@ -118,11 +118,16 @@ def betweenness_centrality(
     if sources is None:
         sources = pick_sources(n_orig, num_sources, seed)
     else:
-        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        # an object array keeps each element's own type for check_source:
+        # an int64 cast would turn True into 1 and 1.5 into 1
+        if not isinstance(sources, np.ndarray):
+            sources = np.asarray(sources, dtype=object)
+        sources = np.asarray(
+            [check_source(s, n_orig) for s in sources.reshape(-1)],
+            dtype=np.int64,
+        )
         if sources.size == 0:
             raise AlgorithmError("sources must be non-empty")
-        if sources.min() < 0 or sources.max() >= n_orig:
-            raise AlgorithmError("BC source out of range")
     runner = (runner_factory or Runner)(plan, device)
     if strategy == "outer":
         charging = "outer"

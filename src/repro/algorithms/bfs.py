@@ -24,6 +24,7 @@ from ..core.pipeline import ExecutionPlan
 from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
+from ..perf.batched import _replica_info, _sync_groups
 from ..perf.edgeshare import shared_pull_view
 from ..perf.gather import expand_frontier
 from ..perf.schedule import schedule_for
@@ -69,30 +70,13 @@ def bfs(
     pull_view = None
     rev_indices = None
 
-    if plan.graffix is not None:
-        primary = plan.graffix.primary_slot
-        g_slots, g_gids, g_sizes = plan.graffix.replica_groups()
-    else:
-        primary = np.arange(plan.num_original, dtype=np.int64)
-        g_slots = g_gids = g_sizes = np.empty(0, dtype=np.int64)
-    num_groups = int(g_sizes.size)
+    primary, g_slots, g_gids, num_groups = _replica_info(plan)
 
     level = np.full(n, -1, dtype=np.int64)
     level[int(primary[source])] = 0
     depth = 0
 
-    def sync_groups() -> None:
-        if num_groups == 0:
-            return
-        lv = level[g_slots].astype(np.float64)
-        lv[lv < 0] = np.inf
-        gmin = np.full(num_groups, np.inf)
-        np.minimum.at(gmin, g_gids, lv)
-        reached = np.isfinite(gmin)
-        members = reached[g_gids] & (level[g_slots] < 0)
-        level[g_slots[members]] = gmin[g_gids[members]].astype(np.int64)
-
-    sync_groups()
+    _sync_groups(level, g_slots, g_gids, num_groups)
     frontier = np.nonzero(level == 0)[0].astype(np.int64)
     prev = None
     # Beamer's m_u: out-edges of still-unexplored nodes, maintained
@@ -152,7 +136,7 @@ def bfs(
                 if fresh.size:
                     level[fresh] = depth + 1
                     newly = fresh
-        sync_groups()
+        _sync_groups(level, g_slots, g_gids, num_groups)
         if (
             decision is not None
             and decision.frontier == "sparse"

@@ -17,7 +17,7 @@ For traces it prints where the wall-clock went:
 
 For metrics snapshots it prints the counter/gauge inventory plus a
 dedicated **serve** section — request outcomes, shed/degraded/timeout
-counts, query-batching outcomes (shared sweeps, lanes per sweep, window
+counts, query-batching outcomes (shared solves, lanes per solve, window
 waits), admission-wait and per-stage latency quantiles (estimated from
 the histogram buckets), queue depth, pressure level, and breaker state
 — the post-mortem view of a drained ``python -m repro serve`` run, plus
@@ -299,7 +299,7 @@ def format_metrics(snap: Mapping, *, title: str = "metrics snapshot") -> str:
             lines.append("")
             lines.append("serve: query batching")
             lines.append(
-                f"  shared sweeps: {int(counters.get('serve.batch.groups', 0))} "
+                f"  shared solves: {int(counters.get('serve.batch.groups', 0))} "
                 f"group(s) answered "
                 f"{int(counters.get('serve.batch.requests', 0))} request(s); "
                 f"{int(counters.get('serve.batch.solo', 0))} solo window(s), "
@@ -311,7 +311,7 @@ def format_metrics(snap: Mapping, *, title: str = "metrics snapshot") -> str:
                     lanes_hist["buckets"], lanes_hist["counts"], 0.50
                 )
                 lines.append(
-                    f"  lanes per sweep: mean {mean_lanes:.1f}, q50 ~{q50:.1f}"
+                    f"  lanes per solve: mean {mean_lanes:.1f}, q50 ~{q50:.1f}"
                 )
         lines.append("")
         lines.append("serve: latency (histogram estimates)")

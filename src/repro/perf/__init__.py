@@ -20,17 +20,11 @@ shared primitives:
   :class:`~repro.perf.schedule.DirectionOptimizing` with Beamer's α/β
   hysteresis) that picks push vs. pull, sparse vs. dense frontiers and
   vertex- vs. edge-balanced partitioning per iteration;
-* :mod:`repro.perf.batched` — the multi-source sweep engine: S sources
-  stacked into lane-tagged ``(S, n)`` state with one concatenated
-  expansion per level (:func:`~repro.perf.batched.expand_lanes`),
-  per-lane charges bit-identical to solo runs (lanes are priced and
-  recorded by the execution context like every other charge;
-  :class:`~repro.perf.batched.LaneLedger` keeps their order), and the
-  :func:`~repro.perf.batched.bfs_levels_batched` /
-  :func:`~repro.perf.batched.sssp_batched` entry points behind the
-  serve layer's batching window.  BC's one engine
-  (:func:`repro.algorithms.bc.betweenness_centrality`) is built on the
-  same stacking.
+* :mod:`repro.perf.batched` — the stacked multi-source gather BC's one
+  engine (:func:`repro.algorithms.bc.betweenness_centrality`) is built
+  on: S sources as lane-tagged ``(S, n)`` state with one concatenated
+  expansion per level (:func:`~repro.perf.batched.expand_lanes`), each
+  lane bit-identical to its solo run.
 
 Values and simulated-cycle charges are pinned by recorded golden
 digests (``tests/*_golden.json``) and the independent oracles in
@@ -40,15 +34,7 @@ Everything is observable: ``perf.gather.*`` counters plus ``perf.*``
 spans feed ``python -m repro stats`` (see ``docs/performance.md``).
 """
 
-from .batched import (
-    BatchedResult,
-    LaneExpansion,
-    LaneLedger,
-    bfs_levels_batched,
-    expand_lanes,
-    lane_sources,
-    sssp_batched,
-)
+from .batched import LaneExpansion, expand_lanes
 from .edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
 from .gather import frontier_edges, scatter_min_changed
 from .schedule import (
@@ -61,23 +47,18 @@ from .schedule import (
 )
 
 __all__ = [
-    "BatchedResult",
     "DirectionOptimizing",
     "EdgeView",
     "Explicit",
     "FixedPush",
     "LaneExpansion",
-    "LaneLedger",
     "PullEdgeView",
     "Schedule",
     "SweepDecision",
-    "bfs_levels_batched",
     "expand_lanes",
     "frontier_edges",
-    "lane_sources",
     "scatter_min_changed",
     "schedule_for",
     "shared_edge_view",
     "shared_pull_view",
-    "sssp_batched",
 ]

@@ -1,36 +1,37 @@
-"""The serve-side batching window: same-shape queries share one sweep.
+"""The serve-side batching window: identical queries share one solve.
 
 :class:`BatchWindow` is the admission-side collector behind
 ``ServeConfig.batch_window_ms``: the first request for a *batch key*
-(same graph, same algorithm, same plan-determining params) becomes the
-group's **leader** and holds the window open; requests with the same key
+(same graph, technique, algorithm and every value-determining parameter
+— the whole query up to the node it projects) becomes the group's
+**leader** and holds the window open; requests with the same key
 arriving within the window become **followers**.  When the window closes
 — the configured wait elapses, the group fills ``batch_max_lanes``, or
 holding it longer would endanger the tightest member deadline — the
-leader runs one batched sweep (:mod:`repro.perf.batched`) over every
-member's lane and fans the per-lane results back out, so a burst of S
-same-graph queries pays one stacked solve instead of S looped ones.
-Responses answered from a shared sweep are footnoted ``batched: true``
-with the group's ``batch_lanes``.
+leader runs the query's solve once and every member reads its own
+answer (an SSSP ``target``, a BC ``node``) off the shared value, so a
+burst of S identical queries pays one solve instead of S.  Responses
+answered from a shared solve are footnoted ``batched: true`` with the
+group's ``batch_lanes``.
 
-Deadline semantics: the shared sweep runs under the group's
-**earliest-deadline lane** (the member with the least remaining budget),
+Deadline semantics: the shared solve runs under the group's
+**earliest-deadline member** (the one with the least remaining budget),
 so batching never spends budget a member doesn't have; the leader also
 never waits longer than half the tightest member's remaining budget.
-If the shared sweep still exceeds that earliest deadline — or fails for
+If the shared solve still exceeds that earliest deadline — or fails for
 any other reason — the group *falls back*: every member re-runs solo
-under its own deadline, so one tight-budget lane cannot time out the
+under its own deadline, so one tight-budget member cannot time out the
 whole group.  A single-member window just runs the solo path directly.
 
 The degrade ladder composes upstream: technique substitution happens
 before the batch key is formed, and the key includes the technique — a
 degraded request therefore lands in a different group than an exact one
-and lanes of mixed fidelity never share a sweep.
+and answers of mixed fidelity never share a solve.
 
 Observability: ``serve.batch.groups`` / ``serve.batch.requests`` /
 ``serve.batch.solo`` / ``serve.batch.fallback`` counters plus the
 ``serve.batch.window`` (leader wait, seconds) and ``serve.batch.lanes``
-(members per shared sweep) histograms, all surfaced by
+(members per shared solve) histograms, all surfaced by
 ``python -m repro stats``.
 """
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable
 
 from ..errors import DeadlineExceeded
 from ..obs import metrics as obs_metrics
@@ -54,25 +55,23 @@ LANE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 class _Group:
     __slots__ = (
         "key",
-        "payloads",
         "deadlines",
-        "batch_fn",
+        "solve",
         "sealed",
         "full",
         "done",
-        "results",
+        "value",
         "error",
     )
 
-    def __init__(self, key: Hashable, batch_fn) -> None:
+    def __init__(self, key: Hashable, solve) -> None:
         self.key = key
-        self.payloads: list[Any] = []
         self.deadlines: list[Deadline] = []
-        self.batch_fn = batch_fn  # the leader's; identical per key
+        self.solve = solve  # the leader's; identical per key
         self.sealed = False
         self.full = threading.Event()  # set when the group hits max lanes
-        self.done = threading.Event()  # set when results (or error) land
-        self.results: list[Any] | None = None
+        self.done = threading.Event()  # set when the value (or error) lands
+        self.value: Any = None
         self.error: BaseException | None = None
 
     def earliest(self) -> Deadline:
@@ -84,10 +83,9 @@ class BatchWindow:
     """Groups same-key requests arriving within a window into one solve.
 
     ``run`` is the only entry point; it is safe to call from any number
-    of threads.  ``batch_fn(payloads, deadline)`` must return one result
-    per payload (in order) and is invoked on exactly one member's thread
-    per group; ``solo_fn(payload, deadline)`` is the per-request
-    fallback and also serves single-member windows.
+    of threads.  ``solve(deadline)`` computes the value every member of
+    a key's group shares; the leader's runs once per group, and each
+    member's own runs for a single-member window or a fallback.
     """
 
     def __init__(self, window_seconds: float, max_lanes: int) -> None:
@@ -104,29 +102,25 @@ class BatchWindow:
     def run(
         self,
         key: Hashable,
-        payload: Any,
         deadline: Deadline,
-        batch_fn: Callable[[Sequence[Any], Deadline], Sequence[Any]],
-        solo_fn: Callable[[Any, Deadline], Any],
+        solve: Callable[[Deadline], Any],
     ) -> tuple[Any, int]:
-        """Join the window for ``key``; returns ``(result, lanes)``.
+        """Join the window for ``key``; returns ``(value, lanes)``.
 
-        ``lanes`` is the number of members the answering sweep covered —
+        ``lanes`` is the number of members the answering solve covered —
         ``1`` means the request was answered solo (empty window, or the
         group fell back).
         """
         with self._lock:
             group = self._open.get(key)
-            if group is None or group.sealed or len(group.payloads) >= self.max_lanes:
-                group = _Group(key, batch_fn)
+            if group is None or group.sealed or len(group.deadlines) >= self.max_lanes:
+                group = _Group(key, solve)
                 self._open[key] = group
                 leader = True
             else:
                 leader = False
-            idx = len(group.payloads)
-            group.payloads.append(payload)
             group.deadlines.append(deadline)
-            if len(group.payloads) >= self.max_lanes:
+            if len(group.deadlines) >= self.max_lanes:
                 group.full.set()
 
         if leader:
@@ -135,22 +129,23 @@ class BatchWindow:
             self._follow(group, deadline)
 
         if group.error is not None:
-            # shared sweep failed (typically the earliest-deadline lane
-            # expired mid-batch): answer solo under *this* member's own
+            # shared solve failed (typically the earliest-deadline member
+            # expired mid-solve): answer solo under *this* member's own
             # budget instead of failing the whole group
             obs_metrics.counter("serve.batch.fallback").inc()
-            return solo_fn(payload, deadline), 1
+            return solve(deadline), 1
 
-        if group.results is None:  # single-member window: no shared sweep
+        lanes = len(group.deadlines)
+        if lanes == 1:  # single-member window: no shared solve
             obs_metrics.counter("serve.batch.solo").inc()
-            return solo_fn(payload, deadline), 1
+            return solve(deadline), 1
 
-        return group.results[idx], len(group.payloads)
+        return group.value, lanes
 
     # ------------------------------------------------------------------
     def _lead(self, group: _Group) -> None:
         # hold the window open, but never past half the tightest member
-        # budget — the earliest-deadline lane still has to run the sweep
+        # budget — the earliest-deadline member still has to run the solve
         wait = min(
             self.window_seconds, 0.5 * max(group.earliest().remaining(), 0.0)
         )
@@ -164,25 +159,16 @@ class BatchWindow:
             group.sealed = True
             if self._open.get(group.key) is group:
                 del self._open[group.key]
+        lanes = len(group.deadlines)
         try:
-            if len(group.payloads) > 1:
-                earliest = group.earliest()
-                with obs_trace.span(
-                    "serve.batch.sweep", lanes=len(group.payloads)
-                ):
-                    results = list(group.batch_fn(group.payloads, earliest))
-                if len(results) != len(group.payloads):
-                    raise RuntimeError(
-                        "batch_fn returned wrong result count"
-                    )
-                group.results = results
+            if lanes > 1:
+                with obs_trace.span("serve.batch.sweep", lanes=lanes):
+                    group.value = group.solve(group.earliest())
                 obs_metrics.counter("serve.batch.groups").inc()
-                obs_metrics.counter("serve.batch.requests").inc(
-                    len(group.payloads)
-                )
+                obs_metrics.counter("serve.batch.requests").inc(lanes)
                 obs_metrics.histogram(
                     "serve.batch.lanes", LANE_BUCKETS
-                ).observe(float(len(group.payloads)))
+                ).observe(float(lanes))
         except BaseException as exc:  # noqa: BLE001 - fanned out per member
             group.error = exc
         finally:
@@ -190,10 +176,10 @@ class BatchWindow:
 
     def _follow(self, group: _Group, deadline: Deadline) -> None:
         # the leader seals and answers within its own bounded wait; the
-        # margin covers the sweep itself, capped by this member's budget
+        # margin covers the solve itself, capped by this member's budget
         timeout = deadline.remaining()
         if timeout <= 0 or not group.done.wait(timeout + 0.05):
             raise DeadlineExceeded(
-                "deadline exceeded at batch: shared sweep did not finish "
+                "deadline exceeded at batch: shared solve did not finish "
                 "within this request's budget"
             )

@@ -90,8 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--batch-window-ms", type=float, default=0.0,
-        help="group same-key queries into one stacked multi-source sweep "
-        "for up to this long (0 disables the batching window)",
+        help="let identical queries share one solve, holding each for up "
+        "to this long (0 disables the batching window)",
     )
     parser.add_argument(
         "--batch-max-lanes", type=int, default=8,

@@ -52,11 +52,11 @@ over completed analytics responses), ``qps`` (completed responses per
 second of wall-clock), ``shed_rate``/``timeout_rate``/``error_rate``/
 ``degraded_rate``/``ok_rate`` (fractions of issued requests),
 ``batched``/``batched_rate`` (responses footnoted ``batched: true`` —
-answered from a shared batching-window sweep), and ``wrong``
+answered from a shared batching-window solve), and ``wrong``
 (verified-mismatch count — with ``verify: true`` the gate implicitly
 requires 0).  A ``server_kpis:`` block applies the same ``le:``/``ge:``
 clauses to the server's own counter snapshot (pulled via the admin
-``stats`` op), e.g. ``serve.batch.groups`` to assert shared sweeps
+``stats`` op), e.g. ``serve.batch.groups`` to assert shared solves
 actually ran server-side.
 
 Queries may pin ``source:`` (sssp) or ``node:`` (bc_node) instead of

@@ -42,7 +42,6 @@ from ..gpusim.device import DeviceConfig, K40C
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger
-from ..perf.batched import sssp_batched
 from ..resilience.faults import fault_point
 from ..verify.invariants import verify_plan
 from .batching import BatchWindow
@@ -90,8 +89,8 @@ class ServeConfig:
     # BENCH_TUNE.json (or its serve block) driving level-2 reduced-work
     # knobs; None keeps the historical halving fallbacks
     tune_config: str | None = None
-    # query batching window (0 = disabled): same-graph/same-algorithm
-    # queries arriving within the window share one batched sweep
+    # query batching window (0 = disabled): identical queries arriving
+    # within the window share one solve
     batch_window_ms: float = 0.0
     batch_max_lanes: int = 8
     # observability sinks flushed on drain
@@ -262,11 +261,11 @@ class GraphService:
             t0 = _now()
             batch_key = (graph_name, technique)
             if op == "sssp":
-                result = self._sssp(plan, params, deadline, batch_key=batch_key)
+                result = self._sssp(plan, params, deadline, batch_key)
             elif op == "pr_topk":
                 result = self._pr_topk(plan, params, deadline)
             elif op == "bc_node":
-                result = self._bc_node(plan, params, deadline, batch_key=batch_key)
+                result = self._bc_node(plan, params, deadline, batch_key)
             else:  # pragma: no cover - parse_request rejects these
                 raise ProtocolError(f"op {op!r} is not a query op")
             _stage_time("solve", t0)
@@ -278,13 +277,19 @@ class GraphService:
         )
 
     # ------------------------------------------------------------------
+    def _solve(self, key: tuple, deadline: Deadline, solve) -> tuple[Any, int]:
+        """``(solve's value, lanes)``: one solve shared by every identical
+        query in the batching window, or a solo solve without one."""
+        if self.batcher is None:
+            return solve(deadline), 1
+        return self.batcher.run(key, deadline, solve)
+
     def _sssp(
         self,
         plan: ExecutionPlan,
         params: dict,
         deadline: Deadline,
-        *,
-        batch_key: tuple | None = None,
+        batch_key: tuple,
     ) -> dict:
         source = _int_param(params, "source", required=True)
         n = plan.num_original
@@ -294,37 +299,17 @@ class GraphService:
         if target is not None and not 0 <= target < n:
             raise ProtocolError(f"target {target} out of range for n={n}")
 
-        def solo(src: int, dl: Deadline) -> tuple[np.ndarray, int]:
-            res = sssp(
+        def solve(dl: Deadline):
+            return sssp(
                 plan,
-                src,
+                source,
                 device=self.config.device,
                 runner_factory=deadline_runner_factory(dl),
             )
-            return res.values, int(res.iterations)
 
-        if self.batcher is not None and batch_key is not None:
-
-            def batch(sources: list[int], dl: Deadline) -> list:
-                res = sssp_batched(
-                    plan,
-                    sources,
-                    device=self.config.device,
-                    runner_factory=deadline_runner_factory(dl),
-                    deadline=dl,
-                )
-                return [
-                    (res.values[i], int(res.iterations[i]))
-                    for i in range(len(sources))
-                ]
-
-            (dist, iters), lanes = self.batcher.run(
-                ("sssp",) + batch_key, source, deadline, batch, solo
-            )
-        else:
-            (dist, iters), lanes = solo(source, deadline), 1
-
-        out: dict[str, Any] = {"source": source, "iterations": iters}
+        res, lanes = self._solve(("sssp",) + batch_key + (source,), deadline, solve)
+        dist = res.values
+        out: dict[str, Any] = {"source": source, "iterations": int(res.iterations)}
         if lanes > 1:
             out["batched"] = True
             out["batch_lanes"] = lanes
@@ -368,8 +353,7 @@ class GraphService:
         plan: ExecutionPlan,
         params: dict,
         deadline: Deadline,
-        *,
-        batch_key: tuple | None = None,
+        batch_key: tuple,
     ) -> dict:
         node = _int_param(params, "node", required=True)
         n = plan.num_original
@@ -384,31 +368,22 @@ class GraphService:
         if seed < 0:
             raise ProtocolError("seed must be >= 0")
 
-        def scores(nodes: list[int], dl: Deadline) -> list[float]:
-            # one BC run answers every node in a batch-window group
-            res = betweenness_centrality(
+        def solve(dl: Deadline):
+            return betweenness_centrality(
                 plan,
                 num_sources=num_sources,
                 seed=seed,
                 device=self.config.device,
                 runner_factory=deadline_runner_factory(dl),
             )
-            return [float(res.values[nd]) for nd in nodes]
 
-        def solo(nd: int, dl: Deadline) -> float:
-            return scores([nd], dl)[0]
-
-        if self.batcher is not None and batch_key is not None:
-            key = ("bc_node",) + batch_key + (num_sources, seed)
-            score, lanes = self.batcher.run(key, node, deadline, scores, solo)
-        else:
-            score, lanes = solo(node, deadline), 1
-
+        key = ("bc_node",) + batch_key + (num_sources, seed)
+        res, lanes = self._solve(key, deadline, solve)
         out: dict[str, Any] = {
             "node": node,
             "num_sources": int(num_sources),
             "seed": int(seed),
-            "score": score,
+            "score": float(res.values[node]),
         }
         if lanes > 1:
             out["batched"] = True

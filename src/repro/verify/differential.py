@@ -15,12 +15,11 @@ is wrong:
   direction-optimizing sweep schedules against the unscheduled kernels
   (values and iterations byte-equal everywhere; push-pinned charges
   additionally bit-identical to no schedule at all);
-* :func:`check_batched` — the multi-source batched sweep engine
-  (:mod:`repro.perf.batched`) against per-source loops: every lane's
-  values, iteration count, and cost-model charges must be byte-equal to
-  the corresponding solo run, over adversarial source sets (single
-  source, pairs, duplicates, more than half the graph); an S-source BC
-  run must equal its sources run one by one on a shared runner.
+* :func:`check_batched` — BC's stacked multi-source sweep
+  (:mod:`repro.perf.batched`) against per-source loops: an S-source run
+  must equal its sources run one by one on a shared runner — values,
+  iteration count and cost-model charges — over adversarial source sets
+  (single source, pairs, duplicates, more than half the graph).
 
 ``preprocess_seconds`` is the one field deliberately excluded from plan
 comparisons: it is wall-clock and legitimately differs between runs.
@@ -234,43 +233,6 @@ def check_schedules(
 
 
 # ---------------------------------------------------------------------------
-def _lane_violations(
-    batched, k: int, solo, what: str
-) -> list[Violation]:
-    """Diff batched lane ``k`` against its solo run, byte for byte."""
-    v: list[Violation] = []
-    lane_vals = batched.values[k]
-    if (
-        lane_vals.dtype != solo.values.dtype
-        or lane_vals.tobytes() != solo.values.tobytes()
-    ):
-        v.append(
-            Violation(
-                f"differential.{what}",
-                f"lane {k} values are not byte-equal to the looped run",
-            )
-        )
-    if batched.iterations[k] != solo.iterations:
-        v.append(
-            Violation(
-                f"differential.{what}",
-                f"lane {k} iteration count differs "
-                f"({batched.iterations[k]} vs {solo.iterations})",
-            )
-        )
-    sa = batched.lane_metrics[k].summary()
-    sb = solo.metrics.summary()
-    if sa != sb:
-        keys = sorted(x for x in set(sa) | set(sb) if sa.get(x) != sb.get(x))
-        v.append(
-            Violation(
-                f"differential.{what}",
-                f"lane {k} per-source charges differ on {keys}",
-            )
-        )
-    return v
-
-
 def check_batched(
     graph: CSRGraph,
     *,
@@ -278,21 +240,15 @@ def check_batched(
     seed: int = 0,
     device: DeviceConfig = K40C,
 ) -> list[Violation]:
-    """Batched multi-source sweeps must decompose into their looped runs.
+    """BC's stacked multi-source sweep must decompose into its looped runs.
 
-    For BFS levels and SSSP, every lane of
-    :func:`~repro.perf.batched.bfs_levels_batched` /
-    :func:`~repro.perf.batched.sssp_batched` must match the corresponding
-    single-source run byte-for-byte — values, iteration count, *and* the
-    per-lane cost-model charges (the batched charging theorem, checked
-    rather than assumed).  For BC, an S-source run must equal the same
-    sources run one by one (:func:`check_bc_lanes`).  Source sets
-    are chosen adversarially: a single source, a pair, a set with
-    duplicate sources, and one covering more than half the graph.
+    An S-source BC run must equal the same sources run one by one
+    (:func:`check_bc_lanes`) — values, iteration count, *and* the
+    cost-model charges — with and without the direction-optimizing
+    schedule.  Source sets are chosen adversarially: a single source, a
+    pair, a set with duplicate sources, and one covering more than half
+    the graph.
     """
-    from ..algorithms.bfs import bfs
-    from ..perf.batched import bfs_levels_batched, sssp_batched
-
     target: CSRGraph | ExecutionPlan = graph
     if technique != "exact":
         target = build_plan(graph, technique, device=device)
@@ -310,18 +266,6 @@ def check_batched(
     for schedule in (None, "direction-optimizing"):
         sched_tag = schedule or "none"
         for set_name, srcs in source_sets:
-            tag = f"batched.{technique}.{sched_tag}.{set_name}"
-            bb = bfs_levels_batched(
-                target, srcs, device=device, schedule=schedule
-            )
-            sb = sssp_batched(target, srcs, device=device, schedule=schedule)
-            for k, s in enumerate(srcs):
-                solo_bfs = bfs(target, int(s), device=device, schedule=schedule)
-                solo_sssp = sssp(target, int(s), device=device, schedule=schedule)
-                v += _lane_violations(bb, k, solo_bfs, f"{tag}.bfs")
-                v += _lane_violations(sb, k, solo_sssp, f"{tag}.sssp")
-
-        for set_name, srcs in source_sets[2:]:  # dup, wide
             v += check_bc_lanes(
                 target, srcs, device=device, schedule=schedule,
                 what=f"batched.{technique}.{sched_tag}.{set_name}.bc",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.bfs import bfs
 from repro.algorithms.common import EdgeView, Runner, check_source, plan_for
 from repro.algorithms.sssp import sssp, sssp_relax
@@ -12,7 +13,6 @@ from repro.baselines import gunrock, operators
 from repro.core.pipeline import ExecutionPlan, build_plan
 from repro.errors import AlgorithmError
 from repro.graphs.properties import bfs_levels
-from repro.perf.batched import bfs_levels_batched, sssp_batched
 from repro.related.landmarks import build_landmark_index
 
 
@@ -54,8 +54,7 @@ _SOURCE_ENTRY_POINTS = {
     "operators.bfs_operators": operators.bfs_operators,
     "operators.sssp_operators": operators.sssp_operators,
     "graphs.bfs_levels": bfs_levels,
-    "sssp_batched": lambda g, s: sssp_batched(g, [s]),
-    "bfs_levels_batched": lambda g, s: bfs_levels_batched(g, [s]),
+    "bc": lambda g, s: betweenness_centrality(g, sources=[s]),
     "landmarks.estimate_from": lambda g, s: build_landmark_index(
         g, 2
     ).estimate_from(s),
@@ -66,8 +65,9 @@ _SOURCE_ENTRY_POINTS = {
 @pytest.mark.parametrize("source", [True, 1.5, "2", -1, 8])
 def test_entry_points_reject_bad_sources(weighted_graph, entry, source):
     """Left to numpy, a bool indexes as a mask (every node a source),
-    a float or string fails with an untyped error, and a batched lane
-    casts to the wrong int; each entry point must raise AlgorithmError."""
+    a float or string fails with an untyped error, and an explicit BC
+    source list casts to the wrong int; each entry point must raise
+    AlgorithmError."""
     with pytest.raises(AlgorithmError):
         _SOURCE_ENTRY_POINTS[entry](weighted_graph, source)
 

@@ -5,9 +5,10 @@ under exact, coalescing, shared-memory and divergence plans, and for
 every way the min-relax solvers are driven — topology-driven ``sssp``
 under push, pull, direction-optimizing and edge-balanced push schedules,
 Gunrock's frontier-driven ``sssp_frontier`` under push and
-direction-optimizing, a 4-lane ``sssp_batched`` run, and ``wcc``: a
+direction-optimizing, ``sssp`` from 4 sources in turn, and ``wcc``: a
 sha256 of the ``values`` bytes, the iteration count(s), and every
-``SimMetrics`` field (per lane, too, for the batched run).  Any change to
+``SimMetrics`` field (per source, too, for the multi-source run, whose
+total ledger folds the 4 runs through one shared ``Runner``).  Any change to
 the distances' or labels' bits, to when a sweep reports a change, or to
 what each sweep charges shows up here.
 
@@ -31,12 +32,12 @@ import pytest
 from digests import golden_fixture, metrics_digest, record_main, sha256
 
 from repro.algorithms.bc import pick_sources
+from repro.algorithms.common import Runner, plan_for
 from repro.algorithms.sssp import sssp
 from repro.algorithms.wcc import wcc
 from repro.baselines.gunrock import sssp_frontier
 from repro.core.pipeline import build_plan
 from repro.graphs.generators import PAPER_GRAPH_NAMES, paper_suite
-from repro.perf.batched import sssp_batched
 
 GOLDEN = Path(__file__).with_name("sssp_wcc_golden.json")
 TECHNIQUES = ("exact", "coalescing", "shmem", "divergence")
@@ -48,10 +49,10 @@ MODES = {
     "sssp-push-edge": ("sssp", "push:edge"),
     "gunrock-push": ("gunrock", "push"),
     "gunrock-diropt": ("gunrock", "direction-optimizing"),
-    "batched": ("batched", None),
+    "multi-source": ("multi-source", None),
     "wcc": ("wcc", None),
 }
-NUM_LANES = 4
+NUM_SOURCES = 4
 SEED = 1
 CELLS = [
     (name, technique, mode)
@@ -69,14 +70,17 @@ def _source(graph) -> int:
 def _digest(graph, technique: str, mode: str) -> dict:
     target = graph if technique == "exact" else build_plan(graph, technique)
     solver, schedule = MODES[mode]
-    if solver == "batched":
-        sources = pick_sources(graph.num_nodes, NUM_LANES, SEED)
-        res = sssp_batched(target, sources)
+    if solver == "multi-source":
+        sources = [int(x) for x in pick_sources(graph.num_nodes, NUM_SOURCES, SEED)]
+        runs = [sssp(target, x) for x in sources]
+        shared = Runner(plan_for(target))
+        for x in sources:
+            sssp(target, x, runner_factory=lambda p, d: shared)
         return {
-            "values_sha256": sha256(res.values),
-            "iterations": [int(k) for k in res.iterations],
-            "metrics": metrics_digest(res.metrics),
-            "lane_metrics": [metrics_digest(m) for m in res.lane_metrics],
+            "values_sha256": sha256(np.stack([r.values for r in runs])),
+            "iterations": [int(r.iterations) for r in runs],
+            "metrics": metrics_digest(shared.metrics),
+            "lane_metrics": [metrics_digest(r.metrics) for r in runs],
         }
     if solver == "wcc":
         res = wcc(target)

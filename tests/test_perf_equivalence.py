@@ -6,10 +6,11 @@ iteration counts, and identical SimMetrics charges**.  Recorded truth
 lives in the golden pins (``sssp_wcc_golden.json``, ``bc_golden.json``)
 and the independent oracles; these tests hold the engine's paths to each
 other across every plan technique (exact, coalescing, shmem,
-divergence): single-source SSSP against a one-lane run of the stacked
-multi-source engine (a separate relax over ``(S, n)`` state), every
-schedule against the unscheduled run, and BC's stacked S-source run
-against the same sources run one at a time on a shared runner.
+divergence): single-source SSSP on a fresh runner against the same
+source on a runner another source already drove (the multi-source
+path) and, on exact plans, against Dijkstra; every schedule against the
+unscheduled run; and BC's stacked S-source run against the same sources
+run one at a time on a shared runner.
 
 Byte-identical means ``tobytes()`` equality — stricter than
 ``np.array_equal`` (distinguishes ``-0.0`` from ``0.0`` and NaN
@@ -23,10 +24,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bc import betweenness_centrality, pick_sources
+from repro.algorithms.common import Runner, plan_for
 from repro.algorithms.exact import exact_sssp
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
-from repro.perf.batched import sssp_batched
 from repro.verify.differential import check_bc_lanes
 
 TECHNIQUES = ("exact", "coalescing", "shmem", "divergence")
@@ -49,16 +50,19 @@ def assert_identical(engine_res, reference_res):
     assert engine_res.metrics.total == reference_res.metrics.total
 
 
-def assert_sssp_matches_one_lane(graph, technique, source):
-    """``sssp`` equals a one-lane stacked run, and Dijkstra when exact."""
+def assert_sssp_matches_warm_runner(graph, technique, source):
+    """``sssp`` on a fresh runner equals the same source run on a runner
+    another source already drove, and Dijkstra when exact."""
     plan = _plan_for(graph, technique)
     solo = sssp(plan, source)
-    lane = sssp_batched(plan, [source])
-    assert solo.values.dtype == lane.values.dtype
-    assert solo.values.tobytes() == lane.values[0].tobytes()
-    assert solo.iterations == lane.iterations[0]
-    assert solo.metrics.num_sweeps == lane.lane_metrics[0].num_sweeps
-    assert solo.metrics.total == lane.lane_metrics[0].total
+    shared = Runner(plan_for(plan))
+    sssp(plan, (source + 1) % graph.num_nodes, runner_factory=lambda p, d: shared)
+    swept = shared.metrics.num_sweeps
+    warm = sssp(plan, source, runner_factory=lambda p, d: shared)
+    assert solo.values.dtype == warm.values.dtype
+    assert solo.values.tobytes() == warm.values.tobytes()
+    assert solo.iterations == warm.iterations
+    assert shared.metrics.num_sweeps - swept == solo.metrics.num_sweeps
     if technique == "exact":
         ref = exact_sssp(graph, source)
         assert np.array_equal(np.isfinite(solo.values), np.isfinite(ref))
@@ -70,10 +74,10 @@ def assert_sssp_matches_one_lane(graph, technique, source):
 class TestSSSPEquivalence:
     def test_rmat(self, rmat_small, technique):
         source = int(np.argmax(rmat_small.out_degrees()))
-        assert_sssp_matches_one_lane(rmat_small, technique, source)
+        assert_sssp_matches_warm_runner(rmat_small, technique, source)
 
     def test_road(self, road_small, technique):
-        assert_sssp_matches_one_lane(road_small, technique, 0)
+        assert_sssp_matches_warm_runner(road_small, technique, 0)
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)

@@ -1,12 +1,12 @@
 """The serve-side batching window (``repro.serve.batching``).
 
-Unit tests drive :class:`BatchWindow` directly with synthetic batch/solo
+Unit tests drive :class:`BatchWindow` directly with synthetic solve
 functions; the end-to-end tests run a real server with the window
-enabled and fire same-key bursts at it, asserting shared sweeps engage
-(``batch_lanes > 1``) with answers byte-equal to an unbatched server.
-The validation regressions at the bottom pin the parameter-checking
-fixes that rode along (bool/NaN deadlines, bool/fractional ints,
-non-finite ``tol``, negative ``seed``).
+enabled and fire bursts at it: identical queries share one solve
+(``batch_lanes > 1``), distinct sources run solo, and every answer is
+byte-equal to an unbatched server's.  The validation regressions at the
+bottom pin the parameter-checking fixes that rode along (bool/NaN
+deadlines, bool/fractional ints, non-finite ``tol``, negative ``seed``).
 """
 
 from __future__ import annotations
@@ -25,27 +25,37 @@ from repro.serve.server import ReproServer
 from repro.serve.service import GraphService, ServeConfig, _int_param
 
 
-def _run_burst(window, keys_payloads, deadline_ms, batch_fn, solo_fn):
-    """Fire one thread per (key, payload); returns {payload: (result, lanes)}."""
-    out = {}
+def _run_burst(window, keys, deadline_ms, solve):
+    """Fire one thread per key; returns ``([(key, (value, lanes))], errors)``."""
+    out = []
     errors = []
 
-    def worker(key, payload):
+    def worker(key):
         try:
-            out[payload] = window.run(
-                key, payload, Deadline.from_ms(deadline_ms), batch_fn, solo_fn
-            )
+            out.append((key, window.run(key, Deadline.from_ms(deadline_ms), solve)))
         except Exception as exc:  # noqa: BLE001 - surfaced by the test
-            errors.append((payload, exc))
+            errors.append((key, exc))
 
-    threads = [
-        threading.Thread(target=worker, args=kp) for kp in keys_payloads
-    ]
+    threads = [threading.Thread(target=worker, args=(k,)) for k in keys]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     return out, errors
+
+
+class _CountingSolve:
+    """A solve that records each call's deadline and returns ``value``."""
+
+    def __init__(self, value=42) -> None:
+        self.value = value
+        self.calls: list[Deadline] = []
+        self._lock = threading.Lock()
+
+    def __call__(self, deadline: Deadline):
+        with self._lock:
+            self.calls.append(deadline)
+        return self.value
 
 
 class TestBatchWindow:
@@ -57,98 +67,82 @@ class TestBatchWindow:
 
     def test_same_key_burst_shares_one_batch(self):
         window = BatchWindow(0.2, 8)
-        calls = []
-
-        def batch_fn(payloads, deadline):
-            calls.append(sorted(payloads))
-            return [p * 10 for p in payloads]
-
-        def solo_fn(payload, deadline):
-            return payload * 10
-
-        out, errors = _run_burst(
-            window, [("k", i) for i in range(4)], 2000, batch_fn, solo_fn
-        )
+        solve = _CountingSolve()
+        out, errors = _run_burst(window, ["k"] * 4, 2000, solve)
         assert not errors
-        assert len(calls) == 1 and calls[0] == [0, 1, 2, 3]
-        for p, (result, lanes) in out.items():
-            assert result == p * 10
-            assert lanes == 4
+        assert len(solve.calls) == 1
+        assert [res for _, res in out] == [(42, 4)] * 4
+
+    def test_shared_solve_runs_under_earliest_deadline(self):
+        window = BatchWindow(0.2, 2)
+        solve = _CountingSolve()
+        tight, loose = Deadline.from_ms(1000), Deadline.from_ms(20000)
+        threads = [
+            threading.Thread(target=window.run, args=("k", d, solve))
+            for d in (loose, tight)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert solve.calls == [tight]
 
     def test_different_keys_never_mix(self):
         window = BatchWindow(0.05, 8)
-        calls = []
+        solves = {"a": _CountingSolve("A"), "b": _CountingSolve("B")}
+        out = []
 
-        def batch_fn(payloads, deadline):
-            calls.append(sorted(payloads))
-            return list(payloads)
+        def worker(key):
+            out.append(
+                (key, window.run(key, Deadline.from_ms(2000), solves[key]))
+            )
 
-        out, errors = _run_burst(
-            window,
-            [("a", 1), ("a", 2), ("b", 3)],
-            2000,
-            batch_fn,
-            lambda p, d: p,
-        )
-        assert not errors
-        # key "b" had a single member: answered solo, no batch call
-        assert out[3] == (3, 1)
-        assert [1, 2] in calls and all(3 not in c for c in calls)
+        threads = [threading.Thread(target=worker, args=(k,)) for k in "aab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # key "b" had a single member: answered solo by its own solve
+        assert sorted(out) == [("a", ("A", 2)), ("a", ("A", 2)), ("b", ("B", 1))]
+        assert len(solves["a"].calls) == 1 and len(solves["b"].calls) == 1
 
     def test_single_member_window_runs_solo(self):
         window = BatchWindow(0.01, 8)
-        result, lanes = window.run(
-            "k",
-            7,
-            Deadline.from_ms(1000),
-            lambda ps, d: pytest.fail("batch_fn must not run for one member"),
-            lambda p, d: p + 1,
-        )
-        assert (result, lanes) == (8, 1)
+        deadline = Deadline.from_ms(1000)
+        solve = _CountingSolve(8)
+        assert window.run("k", deadline, solve) == (8, 1)
+        assert solve.calls == [deadline]
 
     def test_full_group_seals_early(self):
         # max_lanes reached => the leader does not sleep the whole window
         window = BatchWindow(5.0, 2)
         t0 = time.perf_counter()
-        out, errors = _run_burst(
-            window,
-            [("k", 1), ("k", 2)],
-            20000,
-            lambda ps, d: list(ps),
-            lambda p, d: p,
-        )
+        out, errors = _run_burst(window, ["k", "k"], 20000, _CountingSolve())
         assert not errors
         assert time.perf_counter() - t0 < 2.0
-        assert all(lanes == 2 for _, lanes in out.values())
+        assert all(lanes == 2 for _, (_, lanes) in out)
 
     def test_batch_failure_falls_back_solo(self):
         window = BatchWindow(0.2, 8)
+        calls = []
 
-        def batch_fn(payloads, deadline):
-            raise RuntimeError("sweep exploded")
+        def solve(deadline):
+            calls.append(deadline)
+            if len(calls) == 1:
+                raise RuntimeError("solve exploded")
+            return 3
 
-        out, errors = _run_burst(
-            window, [("k", 1), ("k", 2)], 2000, batch_fn, lambda p, d: p * 3
-        )
+        out, errors = _run_burst(window, ["k", "k"], 2000, solve)
         assert not errors
-        assert out == {1: (3, 1), 2: (6, 1)}
-
-    def test_wrong_result_count_falls_back(self):
-        window = BatchWindow(0.2, 8)
-        out, errors = _run_burst(
-            window, [("k", 1), ("k", 2)], 2000, lambda ps, d: [0], lambda p, d: p
-        )
-        assert not errors
-        assert out == {1: (1, 1), 2: (2, 1)}
+        # one failed shared solve, then one solo solve per member
+        assert len(calls) == 3
+        assert [res for _, res in out] == [(3, 1), (3, 1)]
 
     def test_leader_wait_capped_by_tight_deadline(self):
         # a 10 s window must not hold a 100 ms-budget request hostage
         window = BatchWindow(10.0, 8)
         t0 = time.perf_counter()
-        result, lanes = window.run(
-            "k", 1, Deadline.from_ms(100), lambda ps, d: list(ps), lambda p, d: p
-        )
-        assert (result, lanes) == (1, 1)
+        assert window.run("k", Deadline.from_ms(100), lambda d: 1) == (1, 1)
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -180,43 +174,63 @@ class TestServiceBatching:
             ServeConfig(scale="tiny", seed=7, self_check=False)
         )
 
-    def test_sssp_burst_batches_with_identical_answers(
-        self, batched_service, solo_service
-    ):
-        g = sorted(batched_service.graphs)[0]
-        sources = list(range(5))
-        expect = {
-            s: solo_service.execute(
-                {"op": "sssp", "graph": g, "source": s}, Deadline.from_ms(10000)
-            )["result"]
-            for s in sources
-        }
-        got = {}
+    @staticmethod
+    def _burst(service, requests):
+        """Execute ``requests`` concurrently; results in request order."""
+        got = [None] * len(requests)
         errors = []
 
-        def worker(s):
+        def worker(i):
             try:
-                got[s] = batched_service.execute(
-                    {"op": "sssp", "graph": g, "source": s},
-                    Deadline.from_ms(10000),
+                got[i] = service.execute(
+                    requests[i], Deadline.from_ms(10000)
                 )["result"]
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in sources]
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(requests))
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert not errors
-        batched_lanes = 0
-        for s in sources:
-            for key in ("source", "iterations", "reached", "total_distance"):
-                assert got[s][key] == expect[s][key], f"source {s}, {key}"
-            if got[s].get("batched"):
-                assert got[s]["batch_lanes"] > 1
-                batched_lanes += 1
-        assert batched_lanes > 0, "burst never engaged the batching window"
+        return got
+
+    def test_sssp_burst_batches_with_identical_answers(
+        self, batched_service, solo_service
+    ):
+        """Identical queries share one solve; each still projects its own
+        ``target`` off the shared distances."""
+        g = sorted(batched_service.graphs)[0]
+        requests = [
+            {"op": "sssp", "graph": g, "source": 2, "target": t}
+            for t in range(5)
+        ]
+        expect = [
+            solo_service.execute(dict(r), Deadline.from_ms(10000))["result"]
+            for r in requests
+        ]
+        got = self._burst(batched_service, requests)
+        for want, res in zip(expect, got):
+            for key in ("source", "iterations", "target", "distance"):
+                assert res[key] == want[key], f"target {want['target']}, {key}"
+        lanes = [res.get("batch_lanes", 1) for res in got]
+        assert max(lanes) > 1, "burst never shared a solve"
+        assert all(res["batched"] for res, n in zip(got, lanes) if n > 1)
+
+    def test_distinct_source_burst_answers_solo(
+        self, batched_service, solo_service
+    ):
+        g = sorted(batched_service.graphs)[0]
+        requests = [{"op": "sssp", "graph": g, "source": s} for s in range(5)]
+        expect = [
+            solo_service.execute(dict(r), Deadline.from_ms(10000))["result"]
+            for r in requests
+        ]
+        assert self._burst(batched_service, requests) == expect
 
     def test_bc_node_burst_batches(self, batched_service, solo_service):
         g = sorted(batched_service.graphs)[0]
@@ -322,7 +336,7 @@ class TestServerBurst:
             if res.get("batched"):
                 batched += 1
                 assert res["batch_lanes"] > 1
-        assert batched > 0, "server burst never shared a sweep"
+        assert batched > 0, "server burst never shared a solve"
 
 
 class TestValidationRegressions:
@@ -421,9 +435,9 @@ class TestTunedDegradation:
         keys = []
         real = service.batcher.run
 
-        def spy(key, payload, deadline, batch_fn, solo_fn):
+        def spy(key, deadline, solve):
             keys.append(key)
-            return real(key, payload, deadline, batch_fn, solo_fn)
+            return real(key, deadline, solve)
 
         monkeypatch.setattr(service.batcher, "run", spy)
         return keys
@@ -473,8 +487,8 @@ class TestTunedDegradation:
         out = tuned_service.execute(dict(req), Deadline.from_ms(10000))
         assert out["degraded"] is True
         assert keys == [
-            ("sssp", g, "exact"),
-            ("sssp", g, "coalescing"),
+            ("sssp", g, "exact", 0),
+            ("sssp", g, "coalescing", 0),
         ]
 
     def test_tuned_pr_tolerance_footnoted(self, tuned_service):
