@@ -4,7 +4,7 @@
 under exact, coalescing, shared-memory and divergence plans, and for
 every way the min-relax solvers are driven — topology-driven ``sssp``
 under push, pull, direction-optimizing and edge-balanced push schedules,
-Gunrock's frontier-driven ``sssp_frontier`` under push and
+Gunrock's frontier-driven ``sssp_frontier`` under push, pull and
 direction-optimizing, ``sssp`` from 4 sources in turn, and ``wcc``: a
 sha256 of the ``values`` bytes, the iteration count(s), and every
 ``SimMetrics`` field (per source, too, for the multi-source run, whose
@@ -48,6 +48,7 @@ MODES = {
     "sssp-diropt": ("sssp", "direction-optimizing"),
     "sssp-push-edge": ("sssp", "push:edge"),
     "gunrock-push": ("gunrock", "push"),
+    "gunrock-pull": ("gunrock", "pull"),
     "gunrock-diropt": ("gunrock", "direction-optimizing"),
     "multi-source": ("multi-source", None),
     "wcc": ("wcc", None),
