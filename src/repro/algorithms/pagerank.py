@@ -58,7 +58,6 @@ def pagerank(
         raise AlgorithmError("graph has no occupied nodes")
 
     edges = runner.edges
-    src, dst = edges.src, edges.dst
     inv_deg = np.zeros(n_slots)
     nz = edges.out_deg > 0
     inv_deg[nz] = 1.0 / edges.out_deg[nz]
@@ -74,28 +73,13 @@ def pagerank(
     # base Runner preserves the historical `delta > tol` check exactly
     while iterations < max_iterations and runner.keep_iterating(delta, tol):
         iterations += 1
-        decision = runner._decide(None)
-        if decision is not None and decision.direction == "pull":
-            pv = runner._pull_edges()
-            runner.ctx.charge(
-                None,
-                subgraph=pv.rev,
-                expansion=pv.full_expansion(),
-                partition=decision.partition,
-            )
-            e_src, e_dst = pv.src, pv.dst
-        else:
-            runner.ctx.charge(
-                None,
-                partition="vertex" if decision is None else decision.partition,
-            )
-            e_src, e_dst = src, dst
+        step = runner.advance(None)
         contrib = pr * inv_deg
         # bincount accumulates per-bin in the same array order np.add.at
         # did, so the sums are bitwise identical — just ~10× faster
         # (edgeless bincount yields int64 zeros, hence the astype)
         new_pr = np.bincount(
-            e_dst, weights=damping * contrib[e_src], minlength=n_slots
+            step.dst, weights=damping * contrib[step.src], minlength=n_slots
         ).astype(np.float64, copy=False)
         dangling_mass = damping * pr[dangling].sum() / n_live
         new_pr[occupied] += teleport + dangling_mass

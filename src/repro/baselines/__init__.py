@@ -9,7 +9,7 @@ Graffix :class:`~repro.core.pipeline.ExecutionPlan` instead of a raw graph
 yields the corresponding "approximate Graffix inside this framework" run.
 """
 
-from . import gunrock, lonestar, operators, tigr
+from . import gunrock, lonestar, tigr
 
 BASELINES = {
     "baseline1": lonestar,
@@ -24,4 +24,4 @@ BASELINE_ALGORITHMS = {
     "gunrock": gunrock.SUPPORTED,
 }
 
-__all__ = ["BASELINES", "BASELINE_ALGORITHMS", "gunrock", "lonestar", "operators", "tigr"]
+__all__ = ["BASELINES", "BASELINE_ALGORITHMS", "gunrock", "lonestar", "tigr"]

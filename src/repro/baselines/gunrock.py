@@ -1,12 +1,14 @@
 """Baseline-III: Gunrock-style frontier-driven (data-driven) kernels.
 
 Gunrock operates on frontiers of active nodes: an *advance* expands the
-frontier's edges, a *filter* compacts the next frontier.  Only frontier
-nodes occupy warp lanes, so sparse iterations are much cheaper than
-topology-driven sweeps — our cost model reflects that automatically by
-charging only the active list.
+frontier's edges, a *filter* compacts the next frontier.  Here the
+advance is :meth:`~repro.algorithms.common.Runner.advance` — it takes the
+schedule's push/pull decision, gathers the edges and charges only the
+active list, so sparse iterations are much cheaper than topology-driven
+sweeps — and the filter is each kernel's ``np.nonzero`` over the nodes
+that changed.
 
-Implemented operators (the paper compares SSSP, PR and BC on Gunrock):
+Implemented kernels (the paper compares SSSP, PR and BC on Gunrock):
 
 * ``sssp`` — delta-less Bellman-Ford over the changed-node frontier;
 * ``pr``   — push-style PageRank-delta (residual propagation with an
@@ -14,10 +16,9 @@ Implemented operators (the paper compares SSSP, PR and BC on Gunrock):
 * ``bc``   — level-synchronous Brandes (our default BC is already
   frontier-charged).
 
-All operators accept a Graffix :class:`~repro.core.pipeline.ExecutionPlan`
-for the "approximate Graffix on Gunrock" rows of Tables 12–14 — replica
-confluence and cluster rounds are applied exactly as in the Baseline-I
-runners.
+All kernels accept a Graffix :class:`~repro.core.pipeline.ExecutionPlan`
+for the "approximate Graffix on Gunrock" rows of Tables 12–14; SSSP and
+PR merge replica copies after every advance.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..core.pipeline import ExecutionPlan
 from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
-from ..perf.gather import expand_frontier, scatter_min_changed
+from ..perf.gather import scatter_min_changed
 
 __all__ = ["run", "sssp_frontier", "pagerank_delta", "SUPPORTED"]
 
@@ -58,11 +59,8 @@ def sssp_frontier(
     plan = plan_for(graph_or_plan)
     source = check_source(source, plan.num_original)
     runner = Runner(plan, device).use_schedule(schedule)
-    graph = plan.graph
-    n = graph.num_nodes
-    offsets = graph.offsets
-    indices = graph.indices.astype(np.int64)
-    weights = graph.effective_weights()
+    n = plan.graph.num_nodes
+    weights = plan.graph.effective_weights()
 
     init = np.full(plan.num_original, np.inf)
     init[source] = 0.0
@@ -74,44 +72,17 @@ def sssp_frontier(
         g_slots, _g_gids, _g_sizes = plan.graffix.replica_groups()
     else:
         g_slots = np.empty(0, dtype=np.int64)
-    in_frontier = None
 
     while frontier.size and iterations < max_iterations:
         iterations += 1
-        decision = runner._decide(frontier)
-        if decision is not None and decision.direction == "pull":
-            pv = runner._pull_edges()
-            runner.ctx.charge(
-                None,
-                subgraph=pv.rev,
-                expansion=pv.full_expansion(),
-                partition=decision.partition,
-            )
-            if in_frontier is None:
-                in_frontier = np.zeros(n, dtype=bool)
-            in_frontier[:] = False
-            in_frontier[frontier] = True
-            rec = in_frontier[pv.src]
-            e_src = pv.src[rec]
-            e_dst = pv.dst[rec]
-            cand_w = pv.weights[rec]
-            epos = None
-        else:
-            exp = expand_frontier(offsets, indices, frontier)
-            runner.ctx.charge(
-                frontier,
-                expansion=exp,
-                partition="vertex" if decision is None else decision.partition,
-            )
-            e_src, e_dst, epos = exp.e_src, exp.e_dst, exp.epos
-            cand_w = None
+        step = runner.advance(frontier)
         # touched-destinations change detection: only gathered edges
         # and, below, only replica slots are compared
         changed_mask = np.zeros(n, dtype=bool)
-        if e_dst.size:
-            cand = dist[e_src] + (weights[epos] if cand_w is None else cand_w)
-            improved = scatter_min_changed(dist, e_dst, cand)
-            changed_mask[e_dst[improved]] = True
+        if step.dst.size:
+            cand = dist[step.src] + weights[step.eid]
+            improved = scatter_min_changed(dist, step.dst, cand)
+            changed_mask[step.dst[improved]] = True
         if plan.graffix is not None:
             # confluence only ever writes replica slots, so comparing
             # those slots is exact — the rest of dist cannot move
@@ -148,17 +119,14 @@ def pagerank_delta(
         raise AlgorithmError(f"damping must be in (0, 1), got {damping}")
     plan = plan_for(graph_or_plan)
     runner = Runner(plan, device).use_schedule(schedule)
-    graph = plan.graph
-    n = graph.num_nodes
-    offsets = graph.offsets
-    indices = graph.indices.astype(np.int64)
+    n = plan.graph.num_nodes
 
     if plan.graffix is not None:
         occupied = plan.graffix.rep_of >= 0
     else:
         occupied = np.ones(n, dtype=bool)
     n_live = int(occupied.sum())
-    out_deg = graph.out_degrees().astype(np.float64)
+    out_deg = plan.graph.out_degrees().astype(np.float64)
 
     pr = np.zeros(n)
     residual = np.zeros(n)
@@ -166,59 +134,25 @@ def pagerank_delta(
     eps = eps_fraction / n_live
 
     iterations = 0
-    in_frontier = None
     while iterations < max_iterations:
         frontier = np.nonzero(residual > eps)[0].astype(np.int64)
         if frontier.size == 0:
             break
         iterations += 1
-        decision = runner._decide(frontier)
-        pull = decision is not None and decision.direction == "pull"
-        if pull:
-            pv = runner._pull_edges()
-            runner.ctx.charge(
-                None,
-                subgraph=pv.rev,
-                expansion=pv.full_expansion(),
-                partition=decision.partition,
-            )
-            degs = out_deg[frontier]
-        else:
-            # zero-out-degree frontier nodes contribute no edges, so the
-            # frontier's expansion doubles as fo's below
-            exp = expand_frontier(offsets, indices, frontier)
-            runner.ctx.charge(
-                frontier,
-                expansion=exp,
-                partition="vertex" if decision is None else decision.partition,
-            )
-            degs = exp.degs
+        step = runner.advance(frontier)
         r = residual[frontier]
         pr[frontier] += r
         residual[frontier] = 0.0
+        degs = out_deg[frontier]
         has_out = degs > 0
-        fo = frontier[has_out]
-        if fo.size:
-            do = degs[has_out]
-            share = damping * r[has_out] / do
-            if pull:
-                share_node = np.zeros(n)
-                share_node[fo] = share
-                if in_frontier is None:
-                    in_frontier = np.zeros(n, dtype=bool)
-                in_frontier[:] = False
-                in_frontier[fo] = True
-                rec = in_frontier[pv.src]
-                contrib = share_node[pv.src[rec]]
-                dsts = pv.dst[rec]
-            else:
-                contrib = np.repeat(share, do)
-                dsts = exp.e_dst
-            # per-destination sums via bincount (~10× np.add.at on large
-            # frontiers); adds reassociate per destination, within float
-            # tolerance of the residual-propagation fixed point
+        if step.dst.size:
+            # each record carries its source's node-level share; adds
+            # reassociate per destination, within float tolerance of the
+            # residual-propagation fixed point (bincount is ~10× np.add.at)
+            share = np.zeros(n)
+            share[frontier[has_out]] = damping * r[has_out] / degs[has_out]
             residual += np.bincount(
-                dsts, weights=contrib, minlength=n
+                step.dst, weights=share[step.src], minlength=n
             ).astype(np.float64, copy=False)
         # dangling nodes spread their residual uniformly
         dangling = r[~has_out].sum()

@@ -11,9 +11,10 @@ the price of a clock read instead of burning a worker to completion:
 * **stage boundaries** — the service checks between pipeline stages
   (plan fetch, solve, serialize) via :meth:`Deadline.check`;
 * **sweep loops** — :class:`DeadlineRunner` wraps the algorithm
-  :class:`~repro.algorithms.common.Runner` so every global sweep and
-  cluster round re-checks; a fixed-point loop over a large plan notices
-  expiry within one sweep rather than at convergence.
+  :class:`~repro.algorithms.common.Runner` so every frontier step
+  (each global sweep, BFS level and PageRank iteration), block of
+  cluster rounds and BC level re-checks; a fixed-point loop over a
+  large plan notices expiry within one sweep rather than at convergence.
 
 Expiry raises :class:`~repro.errors.DeadlineExceeded`, which the server
 maps to a ``status="timeout"`` response.  ``serve.deadline.expired``
@@ -93,18 +94,15 @@ class DeadlineRunner(Runner):
     """A :class:`Runner` whose sweeps re-check the request deadline.
 
     Algorithms accept a ``runner_factory``, so deadline propagation
-    reaches inside SSSP/PR/BC fixed-point loops without the algorithms
-    knowing about serving: each global sweep, each block of cluster
-    rounds and each BC level costs one monotonic clock read.
+    reaches inside SSSP/PR/BFS/BC loops without the algorithms knowing
+    about serving: each :meth:`~Runner.advance` (so each global sweep,
+    BFS level and PageRank iteration), each block of cluster rounds and
+    each BC level costs one monotonic clock read.
     """
 
     def __init__(self, plan, device, *, deadline: Deadline) -> None:
         super().__init__(plan, device)
         self.deadline = deadline
-
-    def sweep(self, values, relax, **kwargs):
-        self.deadline.check("sweep")
-        return super().sweep(values, relax, **kwargs)
 
     def cluster_rounds(self, values, relax):
         self.deadline.check("cluster_rounds")

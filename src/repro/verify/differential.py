@@ -181,7 +181,8 @@ def check_schedules(
 ) -> list[Violation]:
     """Sweep schedules must never change what a kernel computes.
 
-    Runs BFS, SSSP, PageRank and BC under push-pinned, pull-pinned and
+    Runs BFS, SSSP, PageRank, BC and Gunrock's frontier-driven SSSP and
+    PageRank-delta under push-pinned, pull-pinned and
     direction-optimizing schedules and diffs values + iteration counts
     against the unscheduled run; the push-pinned run must additionally
     reproduce the unscheduled charges bit-for-bit (it is the same code
@@ -189,6 +190,7 @@ def check_schedules(
     """
     from ..algorithms.bfs import bfs
     from ..algorithms.pagerank import pagerank
+    from ..baselines.gunrock import pagerank_delta, sssp_frontier
 
     target: CSRGraph | ExecutionPlan = graph
     if technique != "exact":
@@ -201,6 +203,12 @@ def check_schedules(
         "pagerank": lambda s: pagerank(target, device=device, schedule=s),
         "bc": lambda s: betweenness_centrality(
             target, sources=sources, device=device, schedule=s
+        ),
+        "sssp_frontier": lambda s: sssp_frontier(
+            target, source, device=device, schedule=s
+        ),
+        "pagerank_delta": lambda s: pagerank_delta(
+            target, device=device, schedule=s
         ),
     }
     v: list[Violation] = []

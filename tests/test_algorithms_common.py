@@ -9,9 +9,9 @@ from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.bfs import bfs
 from repro.algorithms.common import EdgeView, Runner, check_source, plan_for
 from repro.algorithms.sssp import sssp, sssp_relax
-from repro.baselines import gunrock, operators
+from repro.baselines import gunrock
 from repro.core.pipeline import ExecutionPlan, build_plan
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, SimulationError
 from repro.graphs.properties import bfs_levels
 from repro.related.landmarks import build_landmark_index
 
@@ -51,8 +51,6 @@ _SOURCE_ENTRY_POINTS = {
     "sssp": sssp,
     "bfs": bfs,
     "gunrock.sssp_frontier": gunrock.sssp_frontier,
-    "operators.bfs_operators": operators.bfs_operators,
-    "operators.sssp_operators": operators.sssp_operators,
     "graphs.bfs_levels": bfs_levels,
     "bc": lambda g, s: betweenness_centrality(g, sources=[s]),
     "landmarks.estimate_from": lambda g, s: build_landmark_index(
@@ -80,6 +78,81 @@ class TestEdgeView:
 
     def test_unweighted_defaults_one(self, tiny_graph):
         assert (EdgeView(tiny_graph).weights == 1.0).all()
+
+
+def _records(step) -> set:
+    return set(zip(step.src.tolist(), step.dst.tolist(), step.eid.tolist()))
+
+
+class TestRunnerAdvance:
+    def test_advance_expands_and_charges(self, tiny_graph):
+        runner = Runner(plan_for(tiny_graph))
+        step = runner.advance(np.array([0]))
+        assert step.decision is None and not step.pull
+        assert step.dst.tolist() == tiny_graph.neighbors(0).tolist()
+        assert (step.src == 0).all()
+        assert (tiny_graph.indices[step.eid] == step.dst).all()
+        assert runner.metrics.num_sweeps == 1
+        assert runner.metrics.cycles > 0
+
+    def test_advance_empty_frontier(self, tiny_graph):
+        runner = Runner(plan_for(tiny_graph))
+        step = runner.advance(np.empty(0, dtype=np.int64))
+        assert step.src.size == step.dst.size == step.eid.size == 0
+        assert runner.metrics.cycles == 0
+
+    @pytest.mark.parametrize("bad", [[999], [-1], [0, 20]])
+    def test_advance_range_check(self, tiny_graph, bad):
+        with pytest.raises(SimulationError, match="out of range"):
+            Runner(plan_for(tiny_graph)).advance(np.array(bad))
+
+    def test_advance_dedups_frontier(self, tiny_graph):
+        once, twice = Runner(plan_for(tiny_graph)), Runner(plan_for(tiny_graph))
+        a = once.advance(np.array([0, 1]))
+        b = twice.advance(np.array([1, 0, 1]))
+        assert a.eid.tolist() == b.eid.tolist()
+        assert once.metrics.cycles == twice.metrics.cycles
+
+    def test_mask_frontier_matches_ids(self, tiny_graph):
+        mask = np.zeros(tiny_graph.num_nodes, dtype=bool)
+        mask[[2, 4]] = True
+        a = Runner(plan_for(tiny_graph)).advance(mask)
+        b = Runner(plan_for(tiny_graph)).advance(np.array([2, 4]))
+        assert a.eid.tolist() == b.eid.tolist()
+
+    @pytest.mark.parametrize("frontier", [None, [0, 3, 5]])
+    def test_push_and_pull_gather_the_same_records(self, rmat_small, frontier):
+        ids = None if frontier is None else np.array(frontier)
+        push = Runner(plan_for(rmat_small)).use_schedule("push").advance(ids)
+        pull = Runner(plan_for(rmat_small)).use_schedule("pull").advance(ids)
+        assert not push.pull and pull.pull
+        assert _records(push) == _records(pull)
+        # push reads CSR edge order, pull reads destination-major order
+        assert (np.diff(push.eid) > 0).all()
+        assert (np.diff(pull.dst) >= 0).all()
+
+    def test_pull_candidates_gather_their_in_edges(self, rmat_small):
+        cands = np.array([1, 2, 7])
+        runner = Runner(plan_for(rmat_small)).use_schedule("pull")
+        step = runner.advance(np.array([0]), candidates=cands)
+        ev = runner.edges
+        want = np.nonzero(np.isin(ev.dst, cands))[0]
+        assert _records(step) == set(
+            zip(ev.src[want].tolist(), ev.dst[want].tolist(), want.tolist())
+        )
+
+    def test_unscheduled_pushes_and_checks_the_level(self, tiny_graph):
+        levels = []
+
+        class Counting(Runner):
+            def check_level(self):
+                levels.append(1)
+
+        runner = Counting(plan_for(tiny_graph))
+        step = runner.advance(None, candidates=np.array([3]))
+        assert levels == [1]
+        assert step.decision is None
+        assert step.eid.tolist() == list(range(tiny_graph.num_edges))
 
 
 class TestRunnerSweeps:
