@@ -25,7 +25,7 @@ import numpy as np
 from ..core.pipeline import ExecutionPlan
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
-from ..perf.gather import frontier_edges
+from ..perf.gather import expand_frontier
 from .common import AlgorithmResult, Runner, plan_for
 
 __all__ = ["scc"]
@@ -45,7 +45,7 @@ def _reach(
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
         runner.ctx.charge(frontier)
-        _, flat, _ = frontier_edges(offsets, indices, frontier)
+        flat = expand_frontier(offsets, indices, frontier).e_dst
         if flat.size == 0:
             break
         nxt = np.unique(flat)

@@ -34,6 +34,7 @@ from ..algorithms.sssp import sssp
 from ..core.pipeline import ExecutionPlan
 from ..errors import AlgorithmError, SimulationError
 from ..graphs.csr import CSRGraph
+from ..graphs.properties import ragged_arange
 from ..gpusim.costmodel import charge_sweep
 from ..gpusim.device import DeviceConfig, K40C
 from ..gpusim.kernel import ExecutionContext
@@ -134,12 +135,7 @@ class _TigrContext(ExecutionContext):
             ids = active.astype(np.int64)
         vs = self._split.vstart
         counts = (vs[ids + 1] - vs[ids]).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        seg = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = np.arange(total, dtype=np.int64) - np.repeat(seg, counts)
-        return np.repeat(vs[ids], counts) + pos
+        return np.repeat(vs[ids], counts) + ragged_arange(counts)
 
     def _price_sweep(self, active, all_shared, subgraph, expansion, partition):
         if subgraph is not None:
@@ -155,17 +151,12 @@ class _TigrContext(ExecutionContext):
             )
         # a caller-provided expansion describes the master adjacency, not
         # the virtual split this context prices — never forward it
-        if active is None:
-            ids, expansion = self._order, self._full_expansion()
-        else:
-            ids, expansion = self._virtualize(active), None
         return charge_sweep(
             self.graph,
             self.device,
-            ids,
+            self._virtualize(active),
             resident_mask=None if all_shared else self.resident_mask,
             all_shared=all_shared,
-            expansion=expansion,
             partition=partition,
         )
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import TransformError
 from ..graphs.csr import CSRGraph
-from ..graphs.properties import bfs_forest_levels
+from ..graphs.properties import bfs_forest_levels, ragged_arange
 
 __all__ = ["RenumberResult", "renumber"]
 
@@ -132,8 +132,7 @@ def renumber(graph: CSRGraph, chunk_size: int = 16) -> RenumberResult:
         total = int(degs.sum())
         assigned_order: list[np.ndarray] = []
         if total:
-            seg_starts = np.concatenate(([0], np.cumsum(degs)[:-1]))
-            j = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, degs)
+            j = ragged_arange(degs)
             parent_rank = np.repeat(
                 np.arange(parents.size, dtype=np.int64), degs
             )

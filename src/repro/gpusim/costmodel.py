@@ -38,6 +38,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..graphs.csr import CSRGraph
 from ..graphs.properties import ragged_arange
+from ..perf.gather import expand_rows
 from .device import DeviceConfig
 
 __all__ = [
@@ -345,11 +346,11 @@ def charge_sweep(
         whole subgraph lives in shared memory.
     expansion:
         optional :class:`~repro.perf.gather.SweepExpansion` of exactly
-        ``active`` (same nodes, same order) over ``graph`` — lets a
-        gather-engine solver hand over the adjacency arrays it already
-        built instead of having them recomputed here.  The caller is
-        trusted on the match (``ExecutionContext.charge`` verifies it);
-        the resulting cost is identical either way.
+        ``active`` (same nodes, same order) over ``graph`` — the records
+        a solver already gathered.  Without one the sweep's rows are
+        gathered here with :func:`~repro.perf.gather.expand_rows`, so the
+        cost is identical either way.  The caller is trusted on the
+        match (``ExecutionContext.charge`` verifies it).
     partition:
         ``"vertex"`` (default) assigns one warp lane per active node —
         the classic vertex-balanced kernel whose divergence the model
@@ -365,13 +366,15 @@ def charge_sweep(
         raise SimulationError(
             f"unknown partition {partition!r}; choose 'vertex' or 'edge'"
         )
-    if active is None:
-        active = np.arange(graph.num_nodes, dtype=np.int64)
-    else:
+    if active is not None:
         active = np.asarray(active, dtype=np.int64)
         if active.size and (active.min() < 0 or active.max() >= graph.num_nodes):
             raise SimulationError("active node id out of range")
     resident_mask = _checked_inputs(graph, device, resident_mask)
+    if expansion is None:
+        expansion = expand_rows(graph.offsets, graph.indices, active)
+    if active is None:
+        active = expansion.frontier
 
     if active.size == 0:
         return SweepCost()
@@ -380,30 +383,24 @@ def charge_sweep(
         return _charge_sweep_edge(
             graph,
             device,
-            active,
+            expansion,
             resident_mask=resident_mask,
             all_shared=all_shared,
-            expansion=expansion,
         )
 
     # This is the per-sweep hot path of the whole simulator: it runs once
     # per frontier per solver iteration, usually on small actives where
     # fixed numpy overhead dominates.  It therefore computes the warp
-    # schedule, divergence stats, and access expansion inline (sharing
-    # the degree array) and counts transactions with structural key
-    # spans instead of data-scanned ones — the packing changes, but any
-    # injective packing yields the identical distinct-segment count the
-    # composable pieces (`form_warps` + `expand_accesses` +
-    # `count_transactions`, kept for tests and external callers) produce.
+    # schedule and divergence stats inline from the expansion's degrees
+    # and counts transactions with structural key spans instead of
+    # data-scanned ones — the packing changes, but any injective packing
+    # yields the identical distinct-segment count the composable pieces
+    # (`form_warps` + `expand_accesses` + `count_transactions`, kept for
+    # tests and external callers) produce.
     ws = device.warp_size
     count = active.size
     num_warps = -(-count // ws)
-    if expansion is None:
-        starts = graph.offsets[active].astype(np.int64)
-        degs = graph.offsets[active + 1].astype(np.int64) - starts
-    else:
-        starts = None
-        degs = expansion.degs
+    degs = expansion.degs
     warp_of_pos = np.arange(count, dtype=np.int64) // ws
     warp_starts = np.arange(0, count, ws, dtype=np.int64)
     warp_max = np.maximum.reduceat(degs, warp_starts)
@@ -422,17 +419,10 @@ def charge_sweep(
         raise SimulationError("access space too large to encode in int64 keys")
 
     if busy:
-        if expansion is None:
-            step = ragged_arange(degs)
-            edge_pos = np.repeat(starts, degs) + step
-            dst = graph.indices[edge_pos].astype(np.int64)
-        else:
-            step = expansion.step
-            edge_pos = expansion.epos
-            dst = expansion.e_dst
-        gid = np.repeat(warp_of_pos, degs) * step_span + step
+        dst = expansion.e_dst
+        gid = np.repeat(warp_of_pos, degs) * step_span + expansion.step
         # (1) reading the edges array itself
-        edge_t = _distinct_groups(gid, edge_pos // line, edge_seg_span)
+        edge_t = _distinct_groups(gid, expansion.epos // line, edge_seg_span)
         # (2) destination-attribute accesses, split by residency
         dst_seg = dst // line
         if all_shared:
@@ -465,11 +455,10 @@ def charge_sweep(
 def _charge_sweep_edge(
     graph: CSRGraph,
     device: DeviceConfig,
-    active: np.ndarray,
+    expansion,
     *,
     resident_mask: np.ndarray | None,
     all_shared: bool,
-    expansion,
 ) -> SweepCost:
     """Edge-balanced variant of :func:`charge_sweep`.
 
@@ -486,26 +475,11 @@ def _charge_sweep_edge(
     per-node pass on clustered frontiers.
     """
     line = device.line_words
-    if expansion is None:
-        starts = graph.offsets[active].astype(np.int64)
-        degs = graph.offsets[active + 1].astype(np.int64) - starts
-        total = int(degs.sum())
-        if total:
-            step = ragged_arange(degs)
-            edge_pos = np.repeat(starts, degs) + step
-            dst = graph.indices[edge_pos].astype(np.int64)
-            e_src = np.repeat(active, degs)
-    else:
-        degs = expansion.degs
-        total = int(expansion.epos.size)
-        if total:
-            edge_pos = expansion.epos
-            dst = expansion.e_dst
-            e_src = expansion.e_src
-            if e_src is None:
-                e_src = np.repeat(expansion.frontier, degs)
+    total = int(expansion.epos.size)
     if total == 0:
         return SweepCost()
+    edge_pos = expansion.epos
+    dst = expansion.e_dst
 
     ws = device.warp_size
     num_warps = -(-total // ws)
@@ -537,7 +511,7 @@ def _charge_sweep_edge(
         attr_shared_t = 0
 
     # per-record source-attribute read, coalesced within each edge-warp
-    src_t = _distinct_groups(gid, e_src // line, node_seg_span)
+    src_t = _distinct_groups(gid, expansion.e_src // line, node_seg_span)
     return _sweep_cost(
         device, serial, busy, idle, edge_t, attr_global_t, attr_shared_t, src_t,
         all_shared=all_shared,

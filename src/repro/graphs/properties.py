@@ -87,7 +87,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
         if total == 0:
             break
         flat = indices[
-            np.repeat(starts, degs) + _ragged_arange(degs)
+            np.repeat(starts, degs) + ragged_arange(degs)
         ]
         nxt = np.unique(flat)
         nxt = nxt[level[nxt] < 0]
@@ -114,11 +114,6 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     mark = (counts[:-1] > 0) & (ends < total)
     out[ends[mark]] = 1 - counts[:-1][mark]
     return np.cumsum(out)
-
-
-#: backwards-compatible alias (the helper predates its public use by
-#: :mod:`repro.core.divergence`)
-_ragged_arange = ragged_arange
 
 
 def bfs_forest_levels(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +166,7 @@ def _bfs_forest_levels(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
             degs = offsets[frontier + 1] - starts
             if int(degs.sum()) == 0:
                 break
-            flat = indices[np.repeat(starts, degs) + _ragged_arange(degs)]
+            flat = indices[np.repeat(starts, degs) + ragged_arange(degs)]
             nxt = np.unique(flat)
             nxt = nxt[level[nxt] > depth]  # visit fresh or improvable nodes
             if nxt.size == 0:

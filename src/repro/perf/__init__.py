@@ -1,15 +1,17 @@
 """``repro.perf`` — the frontier-gather kernel engine.
 
 The simulator charges kernels as if they did work proportional to the
-active frontier, but several host-side implementations historically did
-asymptotically *more* work than the GPU kernels they model (full-edge
-``np.isin`` scans per BFS level).  This package closes that gap with
-shared primitives:
+active frontier, and the host-side solvers do the same: no full-edge
+scan per level.  The package holds the shared primitives:
 
-* :mod:`repro.perf.gather` — O(frontier-edges) CSR gathers
-  (:func:`~repro.perf.gather.frontier_edges`) and the touched-destinations
-  change detector :func:`~repro.perf.gather.scatter_min_changed` that
-  frontier-driven relaxes scatter through;
+* :mod:`repro.perf.gather` — the simulator's one CSR row gather.
+  Solvers expand their frontiers with
+  :func:`~repro.perf.gather.expand_frontier` (counted and traced), and
+  the cost model builds the sweeps it prices with the uncounted
+  :func:`~repro.perf.gather.expand_rows` underneath it, so both see the
+  same edge records.  :func:`~repro.perf.gather.scatter_min_changed` is
+  the touched-destinations change detector frontier-driven relaxes
+  scatter through;
 * :mod:`repro.perf.edgeshare` — flat edge arrays
   (:class:`~repro.perf.edgeshare.EdgeView`) and reverse-CSR pull views
   (:class:`~repro.perf.edgeshare.PullEdgeView`) shared across Runners by
@@ -23,7 +25,7 @@ shared primitives:
 * :mod:`repro.perf.batched` — the stacked multi-source gather BC's one
   engine (:func:`repro.algorithms.bc.betweenness_centrality`) is built
   on: S sources as lane-tagged ``(S, n)`` state with one concatenated
-  expansion per level (:func:`~repro.perf.batched.expand_lanes`), each
+  gather per level (:func:`~repro.perf.batched.expand_lanes`), each
   lane bit-identical to its solo run.
 
 Values and simulated-cycle charges are pinned by recorded golden
@@ -36,7 +38,7 @@ spans feed ``python -m repro stats`` (see ``docs/performance.md``).
 
 from .batched import LaneExpansion, expand_lanes
 from .edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
-from .gather import frontier_edges, scatter_min_changed
+from .gather import expand_frontier, scatter_min_changed
 from .schedule import (
     DirectionOptimizing,
     Explicit,
@@ -55,8 +57,8 @@ __all__ = [
     "PullEdgeView",
     "Schedule",
     "SweepDecision",
+    "expand_frontier",
     "expand_lanes",
-    "frontier_edges",
     "scatter_min_changed",
     "schedule_for",
     "shared_edge_view",

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphs.properties import ragged_arange
 from ..obs import metrics as obs_metrics
-from .gather import SweepExpansion
+from .gather import SweepExpansion, expand_rows
 
 __all__ = ["LaneExpansion", "expand_lanes"]
 
@@ -76,42 +75,29 @@ def expand_lanes(
     counts = np.fromiter(
         (f.size for f in frontiers), dtype=np.int64, count=len(frontiers)
     )
-    node_bounds = np.concatenate(([0], np.cumsum(counts)))
-    cat = (
-        np.concatenate(frontiers)
-        if len(frontiers) > 1
-        else frontiers[0]
+    exp = expand_rows(
+        offsets,
+        indices,
+        np.concatenate(frontiers) if len(frontiers) > 1 else frontiers[0],
     )
-    starts = offsets[cat].astype(np.int64)
-    degs = (offsets[cat + 1] - offsets[cat]).astype(np.int64)
-    edge_cum = np.concatenate(([0], np.cumsum(degs)))
-    rec_bounds = edge_cum[node_bounds]
-    total = int(edge_cum[-1]) if edge_cum.size else 0
-    if total:
-        step = ragged_arange(degs)
-        epos = np.repeat(starts, degs) + step
-        e_dst = indices[epos]
-        e_src = np.repeat(cat, degs)
-    else:
-        step = epos = np.empty(0, dtype=np.int64)
-        e_src = e_dst = np.empty(0, dtype=np.int64)
-    sweeps = []
-    nb = node_bounds.tolist()
+    nb = np.concatenate(([0], np.cumsum(counts))).tolist()
+    rec_bounds = np.concatenate(([0], np.cumsum(exp.degs)))[nb]
     rb = rec_bounds.tolist()
+    e_src = exp.e_src
+    sweeps = []
     for i, frontier in enumerate(frontiers):
-        nb0, nb1 = nb[i], nb[i + 1]
-        rb0, rb1 = rb[i], rb[i + 1]
+        recs = slice(rb[i], rb[i + 1])
         sweeps.append(
             SweepExpansion(
                 frontier,
-                degs[nb0:nb1],
-                step[rb0:rb1],
-                epos[rb0:rb1],
-                e_src[rb0:rb1],
-                e_dst[rb0:rb1],
+                exp.degs[nb[i] : nb[i + 1]],
+                exp.step[recs],
+                exp.epos[recs],
+                exp.e_dst[recs],
+                e_src[recs],
             )
         )
-    return LaneExpansion(frontiers, e_src, e_dst, epos, rec_bounds, sweeps)
+    return LaneExpansion(frontiers, e_src, exp.e_dst, exp.epos, rec_bounds, sweeps)
 
 
 def count_run(**tallies) -> None:

@@ -1,18 +1,21 @@
-"""O(frontier)-work CSR gather primitives.
+"""The simulator's one CSR row gather.
 
-The ``indptr``-ragged-gather idiom was proven inline in ``bfs.py`` and
-``scc.py``: expand a frontier's adjacency lists by repeating each node's
-CSR slice start and adding a per-slice ``arange``.  This module makes it
-the single public primitive every solver hot path goes through, so the
-host work of a simulated sweep is proportional to the frontier's edges —
-matching what the cost model charges — instead of a full-edge scan.
+Expanding a set of nodes' adjacency lists into edge records — repeat
+each node's CSR slice start and add a per-slice ``arange`` — happens
+here and nowhere else in the simulator: solvers gather their frontiers
+through :func:`expand_frontier`, BC's stacked lanes through
+:func:`repro.perf.batched.expand_lanes`, and the cost model and the
+execution context build the sweeps they price with :func:`expand_rows`.
+So the records a solver scatters over and the records the cost model
+prices are built by the same code.  Work and memory are
+O(frontier + frontier-edges); the full edge array is never scanned.
 
 Ordering contract (load-bearing for byte-identical results): for a
-frontier sorted ascending, :func:`frontier_edges` yields edge records in
-global CSR edge order — exactly the order a full-edge boolean mask would
-have produced.  Scatter updates (``np.add.at`` / ``np.minimum.at``)
-applied to the gathered records therefore accumulate in the same order
-as the pre-engine full-scan code, and float results match bit for bit.
+frontier sorted ascending the records come out in global CSR edge
+order — exactly the order a full-edge boolean mask would have produced.
+Scatter updates (``np.add.at`` / ``np.minimum.at``) applied to the
+gathered records therefore accumulate in the same order as a full-scan
+kernel, and float results match bit for bit.
 
 :func:`scatter_min_changed` is the scatter side's companion: a
 frontier sweep's ``np.minimum.at`` plus the change mask over just the
@@ -30,27 +33,27 @@ from ..obs import trace as obs_trace
 __all__ = [
     "SweepExpansion",
     "expand_frontier",
-    "frontier_edges",
+    "expand_rows",
     "scatter_min_changed",
 ]
 
 
 class SweepExpansion:
-    """One sweep's CSR expansion, precomputed by the solver.
+    """One sweep's edge records: the gathered rows of ``frontier``.
 
-    The cost model expands the active list's adjacency the same way the
-    gather engine does; handing it the solver's arrays via
-    :meth:`repro.gpusim.kernel.ExecutionContext.charge` skips that
-    duplicated work (charges are identical — only host time changes).
+    ``frontier`` is in processing order; ``degs`` holds its nodes'
+    degrees, and per record ``step`` is the within-adjacency ordinal,
+    ``epos`` the global edge position, ``e_dst`` the destination and
+    ``e_src`` the source node.  ``e_src`` is built on first read when
+    the builder was not handed one: the vertex-partition pricer never
+    reads it.
 
-    ``frontier`` must be in the context's processing order; ``epos`` must
-    be its adjacency's global edge positions grouped per node, ``step``
-    the within-adjacency ordinal, ``degs``/``e_dst`` the matching
-    degrees/destinations.  ``e_src`` is solver-side convenience and may
-    be ``None``.
+    Solvers hand their expansion to
+    :meth:`repro.gpusim.kernel.ExecutionContext.charge`, so a sweep is
+    gathered once and priced on the records the solver used.
     """
 
-    __slots__ = ("frontier", "degs", "step", "epos", "e_src", "e_dst")
+    __slots__ = ("frontier", "degs", "step", "epos", "e_dst", "_e_src")
 
     def __init__(
         self,
@@ -58,36 +61,51 @@ class SweepExpansion:
         degs: np.ndarray,
         step: np.ndarray,
         epos: np.ndarray,
-        e_src: np.ndarray | None,
         e_dst: np.ndarray,
+        e_src: np.ndarray | None = None,
     ) -> None:
         self.frontier = frontier
         self.degs = degs
         self.step = step
         self.epos = epos
-        self.e_src = e_src
         self.e_dst = e_dst
+        self._e_src = e_src
+
+    @property
+    def e_src(self) -> np.ndarray:
+        if self._e_src is None:
+            self._e_src = np.repeat(self.frontier, self.degs)
+        return self._e_src
 
 
-def frontier_edges(
-    offsets: np.ndarray,
-    indices: np.ndarray,
-    frontier: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand ``frontier``'s out-edges from a CSR structure.
+def expand_rows(
+    offsets: np.ndarray, indices: np.ndarray, frontier: np.ndarray | None
+) -> SweepExpansion:
+    """The edge records of ``frontier``'s CSR rows (``None``: every node
+    in id order).
 
-    Returns ``(e_src, e_dst, epos)``: the source node id, destination
-    node id, and global edge-array position of every out-edge of every
-    frontier node, in frontier order (global CSR edge order when the
-    frontier is sorted ascending).  Work and memory are
-    O(frontier + frontier-edges); the full edge array is never scanned.
-
-    ``epos`` indexes parallel per-edge arrays (weights, per-edge levels),
-    so callers can gather any edge attribute without re-deriving the
-    positions.
+    Uncounted and untraced: the cost model and the execution context
+    build the sweeps they price with it.  The all-nodes sweep takes a
+    shortcut — its records are the edge array itself, so ``epos`` is an
+    ``arange`` and ``e_dst`` a copy of ``indices``.
     """
-    exp = expand_frontier(offsets, indices, frontier)
-    return exp.e_src, exp.e_dst, exp.epos
+    if frontier is None:
+        degs = np.diff(offsets).astype(np.int64)
+        return SweepExpansion(
+            np.arange(degs.size, dtype=np.int64),
+            degs,
+            ragged_arange(degs),
+            np.arange(indices.size, dtype=np.int64),
+            indices.astype(np.int64),
+        )
+    frontier = np.asarray(frontier, dtype=np.int64)
+    starts = offsets[frontier].astype(np.int64)
+    degs = offsets[frontier + 1].astype(np.int64) - starts
+    step = ragged_arange(degs)
+    epos = np.repeat(starts, degs) + step
+    return SweepExpansion(
+        frontier, degs, step, epos, indices[epos].astype(np.int64, copy=False)
+    )
 
 
 def expand_frontier(
@@ -95,37 +113,22 @@ def expand_frontier(
     indices: np.ndarray,
     frontier: np.ndarray,
 ) -> SweepExpansion:
-    """Like :func:`frontier_edges`, returning the full expansion record.
+    """A solver's gather: :func:`expand_rows` of ``frontier``, counted.
 
-    The :class:`SweepExpansion` carries everything the cost model needs,
-    so solvers can pass it to ``ExecutionContext.charge`` and avoid
-    expanding the same frontier twice per sweep.
+    Records ``perf.gather.calls`` / ``perf.gather.edges`` and, under a
+    tracer, a ``perf.gather`` span.  For a frontier sorted ascending the
+    records are in global CSR edge order; ``epos`` indexes parallel
+    per-edge arrays (weights, per-edge levels).
     """
-    frontier = np.asarray(frontier, dtype=np.int64)
     if obs_trace.get_tracer() is not None:
-        with obs_trace.span("perf.gather", frontier=int(frontier.size)) as sp:
-            exp = _expand(offsets, indices, frontier)
+        with obs_trace.span("perf.gather", frontier=int(np.size(frontier))) as sp:
+            exp = expand_rows(offsets, indices, frontier)
             sp.set(edges=int(exp.epos.size))
-        return exp
-    return _expand(offsets, indices, frontier)
-
-
-def _expand(
-    offsets: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> SweepExpansion:
-    starts = offsets[frontier].astype(np.int64)
-    degs = (offsets[frontier + 1] - offsets[frontier]).astype(np.int64)
-    total = int(degs.sum())
+    else:
+        exp = expand_rows(offsets, indices, frontier)
     obs_metrics.counter("perf.gather.calls").inc()
-    obs_metrics.counter("perf.gather.edges").inc(total)
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return SweepExpansion(frontier, degs, e, e, e, e)
-    step = ragged_arange(degs)
-    epos = np.repeat(starts, degs) + step
-    e_dst = indices[epos].astype(np.int64, copy=False)
-    return SweepExpansion(frontier, degs, step, epos, np.repeat(frontier, degs), e_dst)
-
+    obs_metrics.counter("perf.gather.edges").inc(int(exp.epos.size))
+    return exp
 
 
 def scatter_min_changed(
@@ -134,10 +137,11 @@ def scatter_min_changed(
     """``np.minimum.at(values, idx, cand)`` + touched-only change mask.
 
     Returns a boolean mask parallel to ``idx`` marking the records whose
-    destination value strictly improved (every record pointing at an
-    improved destination is marked, as the operator-API relax functor
-    contract requires).  Only the touched destinations are snapshotted:
-    O(k) for k records, never the whole array.
+    destination value strictly improved; every record pointing at an
+    improved destination is marked, so a caller can take the next
+    frontier from the records' destinations.  Only the touched
+    destinations are snapshotted: O(k) for k records, never the whole
+    array.
     """
     before = values[idx]
     np.minimum.at(values, idx, cand)

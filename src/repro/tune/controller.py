@@ -39,10 +39,13 @@ so neither tightening nor loosening ever fires.
 ``tests/test_tune_equivalence.py`` pins this bit-for-bit.
 
 BFS and BC accept the controller through the same ``runner_factory``
-seam but drive :attr:`Runner.ctx` directly (level-synchronous loops, the
-Brandes passes), so they execute statically under it; their tuned
-degradation path is the serve ladder's knob overrides instead
-(``docs/tuning.md`` documents the reach of each lever).
+seam but execute statically under it.  BFS steps its levels through
+:meth:`~repro.algorithms.common.Runner.advance` and BC charges its
+lane-stacked Brandes passes on :attr:`Runner.ctx`; neither reaches the
+three seams the controller overrides (``_fixed_point``, ``confluence``
+and ``keep_iterating``).  Their tuned degradation path is the serve
+ladder's knob overrides instead (``docs/tuning.md`` documents the reach
+of each lever).
 """
 
 from __future__ import annotations

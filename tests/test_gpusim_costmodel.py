@@ -13,8 +13,11 @@ from repro.gpusim.costmodel import (
     charge_sweeps_batched,
     expand_accesses,
 )
-from repro.perf.gather import expand_frontier
 from repro.gpusim.device import K40C, DeviceConfig
+from repro.gpusim.memory import count_transactions, split_transactions
+from repro.gpusim.warp import divergence_stats, form_warps
+from repro.graphs.generators import PAPER_GRAPH_NAMES, paper_suite
+from repro.perf.gather import expand_frontier
 
 
 class TestDeviceConfig:
@@ -158,9 +161,8 @@ class TestChargeSweep:
 
 
 class TestBatchedCharging:
-    """charge_sweeps_batched / expansion-fed charge_sweep must reproduce
-    the plain per-sweep costs exactly — they are host-side optimizations,
-    not model changes."""
+    """charge_sweeps_batched must reproduce the plain per-sweep costs
+    exactly — it is a host-side optimization, not a model change."""
 
     def _random_sweeps(self, graph, rng, k):
         idx = graph.indices.astype(np.int64)
@@ -172,13 +174,6 @@ class TestBatchedCharging:
             ).astype(np.int64)
             sweeps.append(expand_frontier(graph.offsets, idx, frontier))
         return sweeps
-
-    def test_expansion_fed_charge_identical(self, rmat_small):
-        rng = np.random.default_rng(5)
-        for exp in self._random_sweeps(rmat_small, rng, 8):
-            plain = charge_sweep(rmat_small, K40C, exp.frontier)
-            fed = charge_sweep(rmat_small, K40C, exp.frontier, expansion=exp)
-            assert fed == plain
 
     def test_batched_matches_per_sweep(self, rmat_small):
         rng = np.random.default_rng(6)
@@ -225,3 +220,119 @@ class TestBatchedCharging:
         bogus.frontier[0] = 999
         with pytest.raises(SimulationError):
             charge_sweeps_batched(tiny_graph, K40C, [bogus])
+
+
+def _reference_cost(device, serial, busy, idle, edge_t, glob_t, shared_t, src_t):
+    """The cycle formula of the model's docstring, term by term."""
+    cycles = (
+        serial * device.issue_cycles
+        + edge_t * device.edge_latency
+        + glob_t * device.global_latency
+        + shared_t * device.shared_latency
+        + src_t * device.global_latency
+        + busy * device.atomic_cycles
+    )
+    return SweepCost(
+        serial, busy, idle, edge_t, glob_t, shared_t, src_t, busy, float(cycles)
+    )
+
+
+def _attr_transactions(warp, step, dst, line, mask):
+    """(global, shared) destination-attribute transactions."""
+    if mask is None:
+        return count_transactions(warp, step, dst, line).transactions, 0
+    glob, shared = split_transactions(warp, step, dst, line, mask[dst])
+    return glob.transactions, shared.transactions
+
+
+def _vertex_reference(graph, device, active, mask):
+    """One lane per active node, priced with the composable pieces."""
+    ws, line = device.warp_size, device.line_words
+    schedule = form_warps(active, ws)
+    degs = graph.offsets[active + 1] - graph.offsets[active]
+    div = divergence_stats(schedule, degs, ws)
+    warp, step, epos, dst = expand_accesses(graph, active, ws)
+    glob_t, shared_t = _attr_transactions(warp, step, dst, line, mask)
+    src = count_transactions(
+        schedule.warp_of_position, np.zeros(active.size, np.int64), active, line
+    )
+    return _reference_cost(
+        device,
+        div.serial_steps,
+        div.busy_lane_steps,
+        div.idle_lane_steps,
+        count_transactions(warp, step, epos, line).transactions,
+        glob_t,
+        shared_t,
+        src.transactions,
+    )
+
+
+def _edge_reference(graph, device, active, mask):
+    """One lane per edge record: warps of ``warp_size`` consecutive
+    records in gather order, one step each."""
+    ws, line = device.warp_size, device.line_words
+    srcs, dsts, eposs = [], [], []
+    for v in active.tolist():
+        lo, hi = int(graph.offsets[v]), int(graph.offsets[v + 1])
+        for e in range(lo, hi):
+            srcs.append(v)
+            dsts.append(int(graph.indices[e]))
+            eposs.append(e)
+    total = len(eposs)
+    if total == 0:
+        return SweepCost()
+    warp = np.arange(total, dtype=np.int64) // ws
+    step = np.zeros(total, dtype=np.int64)
+    dst = np.array(dsts, dtype=np.int64)
+    glob_t, shared_t = _attr_transactions(warp, step, dst, line, mask)
+    serial = -(-total // ws)
+    return _reference_cost(
+        device,
+        serial,
+        total,
+        serial * ws - total,
+        count_transactions(warp, step, np.array(eposs), line).transactions,
+        glob_t,
+        shared_t,
+        count_transactions(warp, step, np.array(srcs), line).transactions,
+    )
+
+
+@pytest.fixture(scope="module")
+def small_suite() -> dict:
+    return paper_suite("small", seed=7)
+
+
+class TestPricersMatchReference:
+    """``charge_sweep`` against costs assembled independently of it:
+    ``expand_accesses`` + ``form_warps``/``divergence_stats`` +
+    ``count_transactions``/``split_transactions`` for the vertex
+    partition, a per-record loop for the edge partition.  Random
+    frontiers (id order and shuffled) and full sweeps (``active=None``,
+    the gather's all-nodes shortcut) of the small suite, with and without
+    a resident mask."""
+
+    @pytest.mark.parametrize("partition", ["vertex", "edge"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "resident"])
+    @pytest.mark.parametrize("sweep", ["sorted", "shuffled", "full"])
+    @pytest.mark.parametrize("name", PAPER_GRAPH_NAMES)
+    def test_charge_sweep_matches_reference(
+        self, small_suite, name, sweep, masked, partition
+    ):
+        graph = small_suite[name]
+        n = graph.num_nodes
+        rng = np.random.default_rng(PAPER_GRAPH_NAMES.index(name))
+        mask = rng.random(n) < 0.3 if masked else None
+        if sweep == "full":
+            active, everyone = None, np.arange(n, dtype=np.int64)
+        else:
+            everyone = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            if sweep == "sorted":
+                everyone = np.sort(everyone)
+            active = everyone = everyone.astype(np.int64)
+        reference = _vertex_reference if partition == "vertex" else _edge_reference
+        got = charge_sweep(
+            graph, K40C, active, resident_mask=mask, partition=partition
+        )
+        assert got == reference(graph, K40C, everyone, mask)

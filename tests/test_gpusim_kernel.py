@@ -181,8 +181,9 @@ class TestChargeBatch:
 
 
 class TestFullSweepExpansionCache:
-    """``charge(None)`` reuses one cached full-graph expansion; the
-    charges must equal an uncached ``charge_sweep`` over all nodes."""
+    """``charge(None)`` prices through the memo and the gather's
+    all-nodes shortcut; the charges must equal an uncached
+    ``charge_sweep`` over the explicit node list."""
 
     def test_identical_to_uncached_full_sweep(self, rmat_small):
         from repro.gpusim.costmodel import charge_sweep
@@ -195,7 +196,6 @@ class TestFullSweepExpansionCache:
         )
         assert first == plain
         assert second == plain
-        assert ctx._full_exp is not None  # built once, reused
 
     def test_resident_mask_and_all_shared(self, rmat_small):
         from repro.gpusim.costmodel import charge_sweep
@@ -212,19 +212,20 @@ class TestFullSweepExpansionCache:
         )
 
     def test_non_identity_order_skips_cache(self, rmat_small):
+        from repro.gpusim.costmodel import charge_sweep
+
         rng = np.random.default_rng(32)
         order = rng.permutation(rmat_small.num_nodes).astype(np.int64)
         ctx = ExecutionContext(rmat_small, K40C, order=order)
-        ctx.charge(None)
-        assert ctx._full_exp is None
+        assert ctx.charge(None) == charge_sweep(rmat_small, K40C, order)
 
     def test_subgraph_skips_cache(self, tiny_graph, rmat_small):
         ctx = ExecutionContext(rmat_small, K40C)
         sub = tiny_graph
         if sub.num_nodes == rmat_small.num_nodes:  # pragma: no cover
             pytest.skip("fixtures must differ for this test")
-        # subgraph sweeps must never be charged from the main graph's
-        # cached expansion (different CSR entirely)
+        # subgraph sweeps are gathered over the subgraph's CSR, never
+        # the main graph's
         from repro.gpusim.costmodel import charge_sweep
 
         got = ctx.charge(

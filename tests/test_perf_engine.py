@@ -8,7 +8,7 @@ import pytest
 from repro.graphs.csr import CSRGraph
 from repro.obs import metrics as obs_metrics
 from repro.perf.edgeshare import edge_view_cache, shared_edge_view
-from repro.perf.gather import frontier_edges, scatter_min_changed
+from repro.perf.gather import expand_frontier, expand_rows, scatter_min_changed
 
 
 @pytest.fixture()
@@ -22,13 +22,13 @@ class TestFrontierEdges:
         g = rmat_small
         src_all = g.edge_sources()
         frontier = np.arange(0, g.num_nodes, 3, dtype=np.int64)
-        e_src, e_dst, epos = frontier_edges(g.offsets, g.indices, frontier)
+        exp = expand_frontier(g.offsets, g.indices, frontier)
         mask = np.isin(src_all, frontier)
-        assert np.array_equal(e_src, src_all[mask])
-        assert np.array_equal(e_dst, g.indices[mask])
+        assert np.array_equal(exp.e_src, src_all[mask])
+        assert np.array_equal(exp.e_dst, g.indices[mask])
         # epos is the global edge position: indexes any parallel attribute
-        assert np.array_equal(epos, np.nonzero(mask)[0])
-        assert np.array_equal(g.effective_weights()[epos],
+        assert np.array_equal(exp.epos, np.nonzero(mask)[0])
+        assert np.array_equal(g.effective_weights()[exp.epos],
                               g.effective_weights()[mask])
 
     def test_sorted_frontier_yields_global_edge_order(self, rmat_small):
@@ -36,28 +36,49 @@ class TestFrontierEdges:
         frontier = np.unique(
             np.random.default_rng(0).integers(0, g.num_nodes, 20)
         )
-        _, _, epos = frontier_edges(g.offsets, g.indices, frontier)
+        epos = expand_frontier(g.offsets, g.indices, frontier).epos
         assert np.all(np.diff(epos) > 0)
 
     def test_empty_and_degree_zero(self, chain_graph):
-        e_src, e_dst, epos = frontier_edges(
+        exp = expand_frontier(
             chain_graph.offsets, chain_graph.indices, np.empty(0, np.int64)
         )
-        assert e_src.size == e_dst.size == epos.size == 0
+        assert exp.e_src.size == exp.e_dst.size == exp.epos.size == 0
         # node 2 has no out-edges
-        e_src, e_dst, _ = frontier_edges(
+        exp = expand_frontier(
             chain_graph.offsets, chain_graph.indices, np.array([2], np.int64)
         )
-        assert e_src.size == 0
+        assert exp.e_src.size == 0
 
     def test_counters(self, chain_graph):
         calls = obs_metrics.counter("perf.gather.calls").value
         edges = obs_metrics.counter("perf.gather.edges").value
-        frontier_edges(
+        expand_frontier(
             chain_graph.offsets, chain_graph.indices, np.array([0, 1], np.int64)
         )
         assert obs_metrics.counter("perf.gather.calls").value == calls + 1
         assert obs_metrics.counter("perf.gather.edges").value == edges + 3
+
+
+class TestExpandRows:
+    def test_all_nodes_shortcut_matches_generic_gather(self, rmat_small):
+        g = rmat_small
+        fast = expand_rows(g.offsets, g.indices, None)
+        slow = expand_rows(
+            g.offsets, g.indices, np.arange(g.num_nodes, dtype=np.int64)
+        )
+        for field in ("frontier", "degs", "step", "epos", "e_dst", "e_src"):
+            a, b = getattr(fast, field), getattr(slow, field)
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b), field
+
+    def test_uncounted(self, chain_graph):
+        calls = obs_metrics.counter("perf.gather.calls").value
+        expand_rows(chain_graph.offsets, chain_graph.indices, None)
+        expand_rows(
+            chain_graph.offsets, chain_graph.indices, np.array([0], np.int64)
+        )
+        assert obs_metrics.counter("perf.gather.calls").value == calls
 
 
 class TestScatterMinChanged:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.graphs.builder import GraphBuilder, permute
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import dumps, loads
-from repro.graphs.properties import _ragged_arange, bfs_levels
+from repro.graphs.properties import bfs_levels, ragged_arange
 from repro.graphs.validate import edge_set
 
 from strategies import random_graphs
@@ -93,5 +93,5 @@ class TestRaggedArange:
         expected = np.concatenate(
             [np.arange(c) for c in counts] or [np.empty(0, dtype=np.int64)]
         )
-        got = _ragged_arange(counts_arr)
+        got = ragged_arange(counts_arr)
         assert np.array_equal(got, expected)
