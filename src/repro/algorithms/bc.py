@@ -43,7 +43,7 @@ from ..perf.batched import (
     count_run,
     expand_lanes,
 )
-from ..perf.gather import SweepExpansion, expand_frontier
+from ..perf.gather import SweepExpansion
 from ..perf.schedule import schedule_for
 from .common import AlgorithmResult, Runner, check_source, plan_for
 
@@ -168,14 +168,6 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
     indices = graph.indices.astype(np.int64)
     num_lanes = int(sources.size)
     primary, g_slots, g_gids, num_groups = _replica_info(plan)
-    rev_indices = None
-
-    def _pull_arrays():
-        nonlocal rev_indices
-        pv = runner._pull_edges()
-        if rev_indices is None:
-            rev_indices = pv.rev.indices.astype(np.int64)
-        return pv, rev_indices
 
     def merge_mean(values: np.ndarray, level: np.ndarray, take: np.ndarray) -> None:
         """Arithmetic-mean confluence over the replica copies ``take``
@@ -206,14 +198,9 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
         if num_groups:
             merge_mean(delta, level, level[g_slots] >= 0)
 
-    def decide(i: int, frontier: np.ndarray, **stats):
-        prev[i] = sched.decide(
-            frontier_size=int(frontier.size),
-            frontier_edges=int((offsets[frontier + 1] - offsets[frontier]).sum()),
-            num_nodes=n,
-            num_edges=m,
-            prev=prev[i],
-            **stats,
+    def decide(i: int, frontier: np.ndarray, unexplored_edges=None):
+        prev[i] = sched.step(
+            graph, frontier, unexplored_edges=unexplored_edges, prev=prev[i]
         )
         return prev[i]
 
@@ -288,23 +275,14 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
                 # reverse view; surviving records (in-neighbour on the
                 # current level) are re-sorted by forward edge id, so the
                 # sigma scatter runs in the push path's global CSR order
-                pv, rind = _pull_arrays()
                 lv = level2[i]
                 sg = sigma2[i]
-                candidates = np.nonzero(lv < 0)[0].astype(np.int64)
-                rexp = expand_frontier(pv.rev.offsets, rind, candidates)
-                logs[i].append(
-                    {
-                        "active": candidates,
-                        "subgraph": pv.rev,
-                        "expansion": rexp,
-                        "partition": decisions[i].partition,
-                    }
-                )
-                sel = lv[rexp.e_dst] == depth
-                order = np.argsort(pv.fwd_eid[rexp.epos[sel]])
-                e_src = rexp.e_dst[sel][order]  # forward source @ depth
-                e_dst = rexp.e_src[sel][order]  # the unvisited candidate
+                step, charge = runner.pull_gather(lv < 0, decisions[i])
+                logs[i].append(charge)
+                sel = lv[step.src] == depth
+                order = np.argsort(step.eid[sel])
+                e_src = step.src[sel][order]  # forward source @ depth
+                e_dst = step.dst[sel][order]  # the unvisited candidate
                 fresh = lv[e_dst] < 0
                 fresh_dst = e_dst[fresh]
                 if fresh_dst.size:
@@ -392,20 +370,12 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
                 dl = delta2[i]
                 nexts = fronts[i][d + 1]
                 if nexts.size:
-                    pv, rind = _pull_arrays()
-                    rexp = expand_frontier(pv.rev.offsets, rind, nexts)
-                    logs[i].append(
-                        {
-                            "active": nexts,
-                            "subgraph": pv.rev,
-                            "expansion": rexp,
-                            "partition": decisions[i].partition,
-                        }
-                    )
-                    keep = (lv[rexp.e_dst] == d) & (sg[rexp.e_src] > 0)
-                    order = np.argsort(pv.fwd_eid[rexp.epos[keep]])
-                    e_src = rexp.e_dst[keep][order]  # level-d parent
-                    e_dst = rexp.e_src[keep][order]  # level-(d+1) child
+                    step, charge = runner.pull_gather(nexts, decisions[i])
+                    logs[i].append(charge)
+                    keep = (lv[step.src] == d) & (sg[step.dst] > 0)
+                    order = np.argsort(step.eid[keep])
+                    e_src = step.src[keep][order]  # level-d parent
+                    e_dst = step.dst[keep][order]  # level-(d+1) child
                     if e_src.size:
                         contrib = sg[e_src] / sg[e_dst] * (1.0 + dl[e_dst])
                         np.add.at(dl, e_src, contrib)

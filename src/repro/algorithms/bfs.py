@@ -62,7 +62,8 @@ def bfs(
 
     primary, g_slots, g_gids, num_groups = _replica_info(plan)
 
-    level = np.full(plan.graph.num_nodes, -1, dtype=np.int64)
+    n = plan.graph.num_nodes
+    level = np.full(n, -1, dtype=np.int64)
     level[int(primary[source])] = 0
     depth = 0
 
@@ -87,15 +88,10 @@ def bfs(
         newly = step.dst[(level[step.src] == depth) & (level[step.dst] < 0)]
         level[newly] = depth + 1
         _sync_groups(level, g_slots, g_gids, num_groups)
-        decision = step.decision
-        if (
-            decision is not None
-            and decision.frontier == "sparse"
-            and num_groups == 0
-        ):
-            # index-array frontier from the freshly assigned ids; with
-            # replica groups the sync can level extra slots, so the
-            # dense rescan is the only faithful representation there
+        if num_groups == 0 and newly.size * 4 < n:
+            # sorting the few freshly levelled ids beats the O(V) rescan
+            # (BC's rule); with replica groups the sync can level extra
+            # slots, so the rescan is the only faithful frontier there
             frontier = np.unique(newly)
         else:
             frontier = np.nonzero(level == depth + 1)[0].astype(np.int64)

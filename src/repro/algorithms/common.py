@@ -34,7 +34,7 @@ from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
 from ..gpusim.kernel import ExecutionContext
 from ..gpusim.metrics import SimMetrics
-from ..perf.edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
+from ..perf.edgeshare import EdgeView, shared_edge_view
 from ..perf.gather import expand_frontier
 from ..perf.schedule import Schedule, SweepDecision, schedule_for
 
@@ -165,7 +165,6 @@ class Runner:
         # via use_schedule() so Runner subclasses keep their signatures
         self.schedule: Schedule | None = None
         self._sched_prev: SweepDecision | None = None
-        self._pull: PullEdgeView | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -183,12 +182,6 @@ class Runner:
         self.schedule = schedule_for(schedule)
         self._sched_prev = None
         return self
-
-    def _pull_edges(self) -> PullEdgeView:
-        """The (shared) reverse view for pull-directed sweeps."""
-        if self._pull is None:
-            self._pull = shared_pull_view(self.plan.graph)
-        return self._pull
 
     def keep_iterating(self, delta: float, tol: float) -> bool:
         """Whether a residual-driven loop (PageRank-style) should continue.
@@ -219,7 +212,8 @@ class Runner:
         Gunrock's advance primitive.  ``frontier`` (id array or mask) is
         the set of active sources; ``None`` is the full sweep over every
         node.  The installed schedule (:meth:`use_schedule`) decides the
-        direction from the frontier's forward out-edges, with
+        direction and partition through
+        :meth:`~repro.perf.schedule.Schedule.step`, with
         ``unexplored_edges`` as Beamer's remaining-edge count when the
         caller tracks it; with no schedule the step pushes and the
         schedule is not consulted.
@@ -228,8 +222,8 @@ class Runner:
           full sweep) and charges exactly that gather;
         * **pull** with ``candidates`` (id array or mask) gathers the
           candidates' in-edges from the reverse view and charges that
-          gather — BFS's bottom-up step, where unvisited nodes look for
-          a parent;
+          gather (:meth:`pull_gather`) — BFS's bottom-up step, where
+          unvisited nodes look for a parent;
         * **pull** without ``candidates`` scans the whole reverse view
           and keeps the records whose source is in the frontier (all of
           them for the full sweep); the charge is the full reverse scan
@@ -240,7 +234,8 @@ class Runner:
         executed direction reads them — CSR edge order per frontier node
         for push, pull order (destination, then source) for pull.
         Duplicate frontier ids are gathered once; an id outside
-        ``[0, num_nodes)`` raises :class:`~repro.errors.SimulationError`.
+        ``[0, num_nodes)`` or a mask whose length is not ``num_nodes``
+        raises :class:`~repro.errors.SimulationError`.
         """
         self.check_level()
         g = self.plan.graph
@@ -248,22 +243,11 @@ class Runner:
             frontier = self._node_ids(frontier)
         decision = None
         if self.schedule is not None:
-            if frontier is None:
-                size, fedges = g.num_nodes, g.num_edges
-            else:
-                size = int(frontier.size)
-                fedges = int((g.offsets[frontier + 1] - g.offsets[frontier]).sum())
             # the previous decision is threaded per runner, so one shared
             # Schedule can drive concurrent runners (its decide is pure)
-            decision = self.schedule.decide(
-                frontier_size=size,
-                frontier_edges=fedges,
-                num_nodes=g.num_nodes,
-                num_edges=g.num_edges,
-                unexplored_edges=unexplored_edges,
-                prev=self._sched_prev,
+            decision = self._sched_prev = self.schedule.step(
+                g, frontier, unexplored_edges=unexplored_edges, prev=self._sched_prev
             )
-            self._sched_prev = decision
         partition = "vertex" if decision is None else decision.partition
         if decision is None or decision.direction == "push":
             if frontier is None:
@@ -278,24 +262,12 @@ class Runner:
             exp = expand_frontier(g.offsets, g.indices, frontier)
             self.ctx.charge(frontier, expansion=exp, partition=partition)
             return Advance(decision, exp.e_src, exp.e_dst, exp.epos)
-        pv = self._pull_edges()
         if candidates is not None:
-            cand = self._node_ids(candidates)
-            rexp = expand_frontier(pv.rev.offsets, pv.rev.indices, cand)
-            self.ctx.charge(
-                cand, subgraph=pv.rev, expansion=rexp, partition=partition
-            )
-            # a reverse record runs from the gathering candidate to its
-            # in-neighbor: swap back to the forward edge's ends
-            return Advance(
-                decision, rexp.e_dst, rexp.e_src, lambda: pv.fwd_eid[rexp.epos]
-            )
-        self.ctx.charge(
-            None,
-            subgraph=pv.rev,
-            expansion=pv.full_expansion(),
-            partition=partition,
-        )
+            step, charge = self.pull_gather(candidates, decision)
+            self.ctx.charge(**charge)
+            return step
+        pv = self.edges.pull
+        self.ctx.charge(None, subgraph=pv.rev, partition=partition)
         if frontier is None:
             return Advance(decision, pv.src, pv.dst, pv.fwd_eid)
         in_frontier = np.zeros(g.num_nodes, dtype=bool)
@@ -303,15 +275,46 @@ class Runner:
         rec = in_frontier[pv.src]
         return Advance(decision, pv.src[rec], pv.dst[rec], lambda: pv.fwd_eid[rec])
 
+    def pull_gather(
+        self, candidates: np.ndarray, decision: SweepDecision
+    ) -> tuple[Advance, dict]:
+        """The in-edges of ``candidates`` (id array or mask), gathered
+        over the reverse view, uncharged.
+
+        Returns the records as an :class:`Advance` (forward ``(src, dst,
+        eid)`` edges in pull order) and the :meth:`ExecutionContext.charge
+        <repro.gpusim.kernel.ExecutionContext.charge>` keyword arguments
+        that price the gather.  :meth:`advance` charges them at once;
+        BC's pull lanes log them and charge after both passes.
+        """
+        pv = self.edges.pull
+        cand = self._node_ids(candidates)
+        rexp = expand_frontier(pv.rev.offsets, pv.rev.indices, cand)
+        charge = {
+            "active": cand,
+            "subgraph": pv.rev,
+            "expansion": rexp,
+            "partition": decision.partition,
+        }
+        # a reverse record runs from the gathering candidate to its
+        # in-neighbor: swap back to the forward edge's ends
+        step = Advance(
+            decision, rexp.e_dst, rexp.e_src, lambda: pv.fwd_eid[rexp.epos]
+        )
+        return step, charge
+
     def _node_ids(self, nodes: np.ndarray) -> np.ndarray:
         """A mask or id array as sorted, distinct, in-range int64 ids."""
         ids = np.asarray(nodes)
+        n = self.plan.graph.num_nodes
         if ids.dtype == bool:
+            if ids.size != n:
+                raise SimulationError("frontier mask length must equal num_nodes")
             return np.nonzero(ids)[0].astype(np.int64, copy=False)
         ids = ids.astype(np.int64, copy=False)
         if not (ids[1:] > ids[:-1]).all():
             ids = np.unique(ids)
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.plan.graph.num_nodes):
+        if ids.size and (ids[0] < 0 or ids[-1] >= n):
             raise SimulationError("frontier node id out of range")
         return ids
 
@@ -340,8 +343,8 @@ class Runner:
         returns whether anything changed.
 
         When the installed schedule (:meth:`use_schedule`) picks
-        ``direction="pull"``, the relax callback receives the
-        :class:`~repro.perf.edgeshare.PullEdgeView` instead — the same
+        ``direction="pull"``, the relax callback receives the edge
+        view's :attr:`~repro.perf.edgeshare.EdgeView.pull` instead — the same
         edge multiset in destination-major order — and :meth:`advance`
         charges the reverse CSR, so the ledger reflects the gather a
         bottom-up kernel performs.  Order-insensitive relaxations
@@ -350,7 +353,7 @@ class Runner:
         ``tests/test_perf_schedule.py`` pins.
         """
         step = self.advance(None)
-        changed = relax(self._pull_edges() if step.pull else self.edges, values)
+        changed = relax(self.edges.pull if step.pull else self.edges, values)
         if merge:
             self.confluence(values)
         return changed

@@ -207,7 +207,7 @@ class ExecutionContext:
             raise SimulationError("expansion does not match the active list")
         return expansion
 
-    def price_batch(self, sweeps, *, partition: str = "vertex") -> list[SweepCost]:
+    def price_batch(self, sweeps) -> list[SweepCost]:
         """The costs of many sweeps from their precomputed expansions.
 
         ``sweeps`` is a sequence of
@@ -220,10 +220,8 @@ class ExecutionContext:
 
         With a non-identity processing order the expansions don't match
         the warp assignment, so every sweep goes through :meth:`price`.
-        ``partition="edge"`` likewise prices per sweep — the batched
-        pricer models vertex-balanced warps only, and edge-balanced
-        schedules are exactly the ones whose huge dense sweeps would be
-        priced on their own anyway.
+        The batched pricer models vertex-balanced warps only; an
+        edge-balanced sweep is charged on its own through :meth:`charge`.
 
         Sweeps at or above ``BATCH_EAGER_EDGES`` edges also go through
         :meth:`price`: concatenating a huge expansion costs more than the
@@ -233,7 +231,6 @@ class ExecutionContext:
         every record in the call and chunks that size keep the sort in
         cache instead of going superlinear.
         """
-        batchable = self._identity_order and partition == "vertex"
         eager_edges = self.BATCH_EAGER_EDGES
         costs: list = [None] * len(sweeps)
         run: list[int] = []
@@ -252,8 +249,8 @@ class ExecutionContext:
 
         for k, exp in enumerate(sweeps):
             records = exp.epos.size
-            if not batchable or records >= eager_edges:
-                costs[k] = self.price(exp.frontier, expansion=exp, partition=partition)
+            if not self._identity_order or records >= eager_edges:
+                costs[k] = self.price(exp.frontier, expansion=exp)
                 continue
             run.append(k)
             run_records += records
@@ -310,7 +307,7 @@ class ExecutionContext:
         self.record((cost,))
         return cost
 
-    def charge_batch(self, sweeps, *, partition: str = "vertex") -> None:
+    def charge_batch(self, sweeps) -> None:
         """Price many sweeps (:meth:`price_batch`) and add them to the ledger.
 
         The ledger ends up exactly as if :meth:`charge` had been called
@@ -321,5 +318,5 @@ class ExecutionContext:
         if not sweeps:
             return
         with obs_trace.span("solve.sweep_batch", sweeps=len(sweeps)):
-            costs = self.price_batch(sweeps, partition=partition)
+            costs = self.price_batch(sweeps)
         self.record(costs)

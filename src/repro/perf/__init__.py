@@ -13,15 +13,15 @@ scan per level.  The package holds the shared primitives:
   the touched-destinations change detector frontier-driven relaxes
   scatter through;
 * :mod:`repro.perf.edgeshare` — flat edge arrays
-  (:class:`~repro.perf.edgeshare.EdgeView`) and reverse-CSR pull views
-  (:class:`~repro.perf.edgeshare.PullEdgeView`) shared across Runners by
+  (:class:`~repro.perf.edgeshare.EdgeView`) shared across Runners by
   graph fingerprint, so a harness sweep stops rebuilding them per
-  (algorithm × source);
+  (algorithm × source); each view builds its reverse-CSR pull view
+  (:class:`~repro.perf.edgeshare.PullEdgeView`) on first read;
 * :mod:`repro.perf.schedule` — the sweep-schedule layer
   (:class:`~repro.perf.schedule.Schedule` policies, notably
   :class:`~repro.perf.schedule.DirectionOptimizing` with Beamer's α/β
-  hysteresis) that picks push vs. pull, sparse vs. dense frontiers and
-  vertex- vs. edge-balanced partitioning per iteration;
+  hysteresis) that picks push vs. pull and vertex- vs. edge-balanced
+  partitioning per iteration — the two choices the cost model charges;
 * :mod:`repro.perf.batched` — the stacked multi-source gather BC's one
   engine (:func:`repro.algorithms.bc.betweenness_centrality`) is built
   on: S sources as lane-tagged ``(S, n)`` state with one concatenated
@@ -37,7 +37,7 @@ spans feed ``python -m repro stats`` (see ``docs/performance.md``).
 """
 
 from .batched import LaneExpansion, expand_lanes
-from .edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
+from .edgeshare import EdgeView, PullEdgeView, shared_edge_view
 from .gather import expand_frontier, scatter_min_changed
 from .schedule import (
     DirectionOptimizing,
@@ -62,5 +62,4 @@ __all__ = [
     "scatter_min_changed",
     "schedule_for",
     "shared_edge_view",
-    "shared_pull_view",
 ]

@@ -17,8 +17,9 @@ are counted on ``perf.edgeview.{hit,miss}``.
 pick ``direction="pull"`` (:mod:`repro.perf.schedule`): the reverse-CSR
 view of the graph plus the flat edge arrays in *pull order* (sorted by
 destination, then source) and the permutation mapping each pull record
-back to its forward edge id.  Building it costs one lexsort, so it is
-memoized the same way (``perf.pullview.{hit,miss}``).
+back to its forward edge id.  Building it costs one lexsort, so each
+:class:`EdgeView` builds its pull view on first read of
+:attr:`EdgeView.pull` and keeps it: the one cache is the edge-view LRU.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ import numpy as np
 
 from ..cache.lru import LRUCache
 from ..graphs.csr import CSRGraph
-from .gather import SweepExpansion, expand_frontier
 
 __all__ = [
     "EdgeView",
     "PullEdgeView",
     "shared_edge_view",
-    "shared_pull_view",
     "edge_view_cache",
-    "pull_view_cache",
 ]
 
 
@@ -48,6 +46,18 @@ class EdgeView:
         self.dst = graph.indices.astype(np.int64)
         self.weights = graph.effective_weights()
         self.out_deg = graph.out_degrees().astype(np.float64)
+        self._pull: PullEdgeView | None = None
+
+    @property
+    def pull(self) -> "PullEdgeView":
+        """The graph's :class:`PullEdgeView`, built on first read.
+
+        Two threads reading it first at once may each build one; the
+        views are equal and the last one stays.
+        """
+        if self._pull is None:
+            self._pull = PullEdgeView(self)
+        return self._pull
 
 
 class PullEdgeView:
@@ -66,10 +76,11 @@ class PullEdgeView:
     makes pull results byte-identical to push on *any* graph, including
     ones whose adjacency lists are not neighbor-sorted.
 
+    Built from the forward view, which keeps it (:attr:`EdgeView.pull`);
+    it holds no reference back, so dropping the forward view frees both.
+
     Attributes
     ----------
-    forward:
-        the shared forward :class:`EdgeView` (same underlying graph).
     rev:
         the reverse graph as a :class:`CSRGraph` — node ``v``'s
         adjacency lists its in-neighbors — handed to
@@ -87,18 +98,18 @@ class PullEdgeView:
         divide by the source's out-degree regardless of direction).
     """
 
-    def __init__(self, graph: CSRGraph) -> None:
+    def __init__(self, forward: EdgeView) -> None:
+        graph = forward.graph
         self.graph = graph
-        self.forward = shared_edge_view(graph)
-        fsrc, fdst = self.forward.src, self.forward.dst
+        fsrc, fdst = forward.src, forward.dst
         # stable lexsort, primary key fdst: identical permutation to the
         # one CSRGraph.from_edges applies inside graph.reverse()
         perm = np.lexsort((fsrc, fdst))
         self.fwd_eid = perm.astype(np.int64, copy=False)
         self.src = fsrc[perm]
         self.dst = fdst[perm]
-        self.weights = self.forward.weights[perm]
-        self.out_deg = self.forward.out_deg
+        self.weights = forward.weights[perm]
+        self.out_deg = forward.out_deg
         n = graph.num_nodes
         counts = np.bincount(self.dst, minlength=n)
         offsets = np.zeros(n + 1, dtype=graph.offsets.dtype)
@@ -110,22 +121,6 @@ class PullEdgeView:
             self.weights,
             validate=False,
         )
-        self._full: SweepExpansion | None = None
-
-    def full_expansion(self) -> SweepExpansion:
-        """Cached all-nodes expansion of the reverse graph.
-
-        Topology-driven pull sweeps (PageRank power iteration, dense
-        SSSP relaxation) gather every edge every iteration; the
-        expansion is graph-constant, so it is built once per view.
-        """
-        if self._full is None:
-            self._full = expand_frontier(
-                self.rev.offsets,
-                self.rev.indices,
-                np.arange(self.graph.num_nodes, dtype=np.int64),
-            )
-        return self._full
 
 
 #: distinct graphs whose views stay resident; a table sweep touches a
@@ -133,27 +128,6 @@ class PullEdgeView:
 EDGE_VIEW_CACHE_SIZE = 32
 
 _views = LRUCache(EDGE_VIEW_CACHE_SIZE, metric_prefix="perf.edgeview")
-_pull_views = LRUCache(EDGE_VIEW_CACHE_SIZE, metric_prefix="perf.pullview")
-
-
-def pull_view_cache() -> LRUCache:
-    """The process-wide PullEdgeView cache (exposed for tests)."""
-    return _pull_views
-
-
-def shared_pull_view(graph: CSRGraph) -> PullEdgeView:
-    """The memoized :class:`PullEdgeView` of ``graph``.
-
-    Keyed on :meth:`CSRGraph.fingerprint` like :func:`shared_edge_view`,
-    so every runner pulling on the same graph shares one reverse view
-    and one cached full expansion.
-    """
-    key = graph.fingerprint()
-    view = _pull_views.get(key)
-    if view is None:
-        view = PullEdgeView(graph)
-        _pull_views.put(key, view)
-    return view
 
 
 def edge_view_cache() -> LRUCache:

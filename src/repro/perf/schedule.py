@@ -1,19 +1,16 @@
-"""Sweep schedules: direction, frontier representation, load balance.
+"""Sweep schedules: direction and load balance.
 
 GraphIt-style algorithm/schedule decoupling for the sweep-based kernels
 (BFS, BC forward/backward, SSSP, PageRank and the Gunrock baselines):
 the *algorithm* says what a sweep computes, the *schedule* says how the
 simulated kernel executes it.  Each kernel consults its schedule once
-per iteration and receives a :class:`SweepDecision` fixing three
-independent choices:
+per iteration (:meth:`Schedule.step`) and receives a
+:class:`SweepDecision` fixing the two choices the cost model charges:
 
 * ``direction`` — ``"push"`` expands the frontier's out-edges (the
   engine's historical behaviour); ``"pull"`` gathers over the reverse
-  CSR view (:func:`repro.perf.edgeshare.shared_pull_view`), so the cost
+  CSR view (:attr:`repro.perf.edgeshare.EdgeView.pull`), so the cost
   model charges the edges a bottom-up kernel would actually read;
-* ``frontier`` — ``"sparse"`` builds the next frontier from the freshly
-  touched ids (index-array style), ``"dense"`` rescans the value array
-  (bitmap style); ``"auto"`` keeps each kernel's built-in heuristic;
 * ``partition`` — ``"vertex"`` assigns one warp lane per active node
   (degree divergence, the classic vertex-balanced kernel),
   ``"edge"`` assigns one lane per edge record (perfectly load-balanced,
@@ -34,9 +31,8 @@ Policies
 --------
 
 :class:`FixedPush` is the do-nothing default (identical to passing no
-schedule at all).  :class:`Explicit` pins any combination — ``repro
-perf`` bench rows and tune-style sweeps use it to compare fixed
-schedules.  :class:`DirectionOptimizing` is Beamer's classic
+schedule at all).  :class:`Explicit` pins a direction and partition —
+what spec strings such as ``"pull"`` or ``"push:edge"`` parse to.  :class:`DirectionOptimizing` is Beamer's classic
 direction-optimizing traversal: switch push→pull when the frontier's
 out-edges exceed ``unexplored_edges / alpha``, and pull→push when the
 frontier shrinks below ``num_nodes / beta`` (α=15, β=18 hysteresis —
@@ -51,6 +47,8 @@ threads its own ``prev`` through the loop.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import SimulationError
 
 __all__ = [
@@ -61,51 +59,41 @@ __all__ = [
     "DirectionOptimizing",
     "schedule_for",
     "DIRECTIONS",
-    "FRONTIERS",
     "PARTITIONS",
 ]
 
 DIRECTIONS = ("push", "pull")
-FRONTIERS = ("auto", "sparse", "dense")
 PARTITIONS = ("vertex", "edge")
 
 
 class SweepDecision:
-    """One sweep's resolved (direction, frontier, partition) triple.
+    """One sweep's resolved (direction, partition) pair.
 
-    Instances are interned: each distinct triple exists once per
-    process, so per-sweep decision churn allocates nothing and
-    hysteresis comparisons are identity-cheap.
+    Instances are interned: each distinct pair exists once per process,
+    so per-sweep decision churn allocates nothing and hysteresis
+    comparisons are identity-cheap.
     """
 
-    __slots__ = ("direction", "frontier", "partition")
-    _interned: dict[tuple[str, str, str], "SweepDecision"] = {}
+    __slots__ = ("direction", "partition")
+    _interned: dict[tuple[str, str], "SweepDecision"] = {}
 
     def __new__(
-        cls,
-        direction: str = "push",
-        frontier: str = "auto",
-        partition: str = "vertex",
+        cls, direction: str = "push", partition: str = "vertex"
     ) -> "SweepDecision":
         if direction not in DIRECTIONS:
             raise SimulationError(
                 f"unknown direction {direction!r}; choose from {DIRECTIONS}"
             )
-        if frontier not in FRONTIERS:
-            raise SimulationError(
-                f"unknown frontier {frontier!r}; choose from {FRONTIERS}"
-            )
         if partition not in PARTITIONS:
             raise SimulationError(
                 f"unknown partition {partition!r}; choose from {PARTITIONS}"
             )
-        key = (direction, frontier, partition)
+        key = (direction, partition)
         hit = cls._interned.get(key)
         if hit is not None:
             return hit
         self = super().__new__(cls)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "frontier", frontier)
         object.__setattr__(self, "partition", partition)
         cls._interned[key] = self
         return self
@@ -114,10 +102,7 @@ class SweepDecision:
         raise AttributeError("SweepDecision is immutable")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SweepDecision({self.direction}, {self.frontier}, "
-            f"{self.partition})"
-        )
+        return f"SweepDecision({self.direction}, {self.partition})"
 
 
 class Schedule:
@@ -128,7 +113,36 @@ class Schedule:
     instance can drive any number of concurrent kernels.
     """
 
-    name = "schedule"
+    def step(
+        self,
+        graph,
+        frontier: np.ndarray | None,
+        *,
+        unexplored_edges: int | None = None,
+        prev: SweepDecision | None = None,
+    ) -> SweepDecision:
+        """The decision for one sweep of ``frontier`` over ``graph``.
+
+        ``frontier`` is an array of distinct node ids, or ``None`` for
+        the full sweep over every node; its size and forward out-edge
+        count over ``graph`` (a CSR graph) are the stats :meth:`decide`
+        is called with.  :meth:`repro.algorithms.common.Runner.advance`
+        and BC's lanes decide through this one call.
+        """
+        if frontier is None:
+            size, fedges = graph.num_nodes, graph.num_edges
+        else:
+            offsets = graph.offsets
+            size = int(frontier.size)
+            fedges = int((offsets[frontier + 1] - offsets[frontier]).sum())
+        return self.decide(
+            frontier_size=size,
+            frontier_edges=fedges,
+            num_nodes=graph.num_nodes,
+            num_edges=graph.num_edges,
+            unexplored_edges=unexplored_edges,
+            prev=prev,
+        )
 
     def decide(
         self,
@@ -147,21 +161,20 @@ class Schedule:
 
 
 class FixedPush(Schedule):
-    """Always push, kernel-default frontier, vertex-balanced.
+    """Always push, vertex-balanced.
 
     Byte-for-byte the no-schedule behaviour; exists so bench rows and
     differential checks can name the baseline explicitly.
     """
 
-    name = "fixed-push"
-    _DECISION = SweepDecision("push", "auto", "vertex")
+    _DECISION = SweepDecision("push", "vertex")
 
     def decide(self, **_stats) -> SweepDecision:
         return self._DECISION
 
 
 class Explicit(Schedule):
-    """Pin every choice — the bench/tune building block.
+    """Pin both choices — the bench/tune building block.
 
     ``Explicit("pull")`` pins bottom-up sweeps, ``Explicit("push",
     partition="edge")`` pins edge-balanced top-down, etc.  The decision
@@ -169,22 +182,9 @@ class Explicit(Schedule):
     """
 
     def __init__(
-        self,
-        direction: str = "push",
-        *,
-        frontier: str = "auto",
-        partition: str = "vertex",
+        self, direction: str = "push", *, partition: str = "vertex"
     ) -> None:
-        self._decision = SweepDecision(direction, frontier, partition)
-        self.name = "-".join(
-            p
-            for p in (
-                direction,
-                frontier if frontier != "auto" else "",
-                partition if partition != "vertex" else "",
-            )
-            if p
-        )
+        self._decision = SweepDecision(direction, partition)
 
     @property
     def decision(self) -> SweepDecision:
@@ -206,11 +206,7 @@ class DirectionOptimizing(Schedule):
     shrinks below ``num_nodes / beta``, then push again.  When the
     caller cannot cheaply track ``unexplored_edges`` it defaults to the
     total edge count, which only makes the switch more conservative.
-
-    While pulling, the frontier representation is ``"dense"`` (the
-    bottom-up kernel scans candidate nodes, classic bitmap style);
-    while pushing it stays ``"auto"``.  ``partition`` applies to every
-    sweep either way.
+    ``partition`` applies to every sweep either way.
     """
 
     def __init__(
@@ -224,9 +220,8 @@ class DirectionOptimizing(Schedule):
             raise SimulationError("alpha and beta must be positive")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self._push = SweepDecision("push", "auto", partition)
-        self._pull = SweepDecision("pull", "dense", partition)
-        self.name = "direction-optimizing"
+        self._push = SweepDecision("push", partition)
+        self._pull = SweepDecision("pull", partition)
 
     def decide(
         self,
@@ -265,10 +260,10 @@ def schedule_for(spec) -> "Schedule | None":
     ``None`` and ``"fixed-push"``/``"push"`` mean the default push
     behaviour; ``"pull"`` pins bottom-up sweeps;
     ``"direction-optimizing"`` (aliases ``"do"``, ``"diropt"``) enables
-    the α/β policy.  Modifiers join with ``:`` — ``"push:edge"`` pins
-    edge-balanced partitioning, ``"pull:sparse"`` a sparse frontier,
-    ``"diropt:edge"`` edge-balanced direction optimizing.  A
-    :class:`Schedule` instance passes through unchanged.
+    the α/β policy.  A partition joins with ``:`` — ``"push:edge"`` pins
+    edge-balanced partitioning, ``"diropt:edge"`` edge-balanced
+    direction optimizing.  A :class:`Schedule` instance passes through
+    unchanged.
     """
     if spec is None or isinstance(spec, Schedule):
         return spec
@@ -276,28 +271,20 @@ def schedule_for(spec) -> "Schedule | None":
     if not parts:
         raise SimulationError(f"empty schedule spec {spec!r}")
     head, mods = parts[0], parts[1:]
-    frontier = "auto"
     partition = "vertex"
     for mod in mods:
-        if mod in ("sparse", "dense"):
-            frontier = mod
-        elif mod in PARTITIONS:
-            partition = mod
-        else:
+        if mod not in PARTITIONS:
             raise SimulationError(
                 f"unknown schedule modifier {mod!r} in {spec!r}"
             )
+        partition = mod
     if head in ("push", "fixed-push"):
-        if frontier == "auto" and partition == "vertex":
+        if partition == "vertex":
             return FIXED_PUSH
-        return Explicit("push", frontier=frontier, partition=partition)
+        return Explicit("push", partition=partition)
     if head == "pull":
-        return Explicit("pull", frontier=frontier, partition=partition)
+        return Explicit("pull", partition=partition)
     if head in ("direction-optimizing", "diropt", "do"):
-        if frontier != "auto":
-            raise SimulationError(
-                "direction-optimizing picks its own frontier representation"
-            )
         return DirectionOptimizing(partition=partition)
     raise SimulationError(
         f"unknown schedule {spec!r}; use push, pull, or direction-optimizing"

@@ -12,6 +12,7 @@ from repro.algorithms.sssp import sssp, sssp_relax
 from repro.baselines import gunrock
 from repro.core.pipeline import ExecutionPlan, build_plan
 from repro.errors import AlgorithmError, SimulationError
+from repro.graphs.generators import road_network
 from repro.graphs.properties import bfs_levels
 from repro.related.landmarks import build_landmark_index
 
@@ -112,6 +113,21 @@ class TestRunnerAdvance:
         b = twice.advance(np.array([1, 0, 1]))
         assert a.eid.tolist() == b.eid.tolist()
         assert once.metrics.cycles == twice.metrics.cycles
+
+    @pytest.mark.parametrize("short_by", [3, -1])
+    def test_frontier_mask_length_checked(self, short_by):
+        g = road_network(8)
+        mask = np.ones(g.num_nodes - short_by, dtype=bool)
+        with pytest.raises(SimulationError, match="mask length"):
+            Runner(plan_for(g)).advance(mask)
+
+    @pytest.mark.parametrize("short_by", [3, -1])
+    def test_candidates_mask_length_checked(self, short_by):
+        g = road_network(8)
+        mask = np.ones(g.num_nodes - short_by, dtype=bool)
+        runner = Runner(plan_for(g)).use_schedule("pull")
+        with pytest.raises(SimulationError, match="mask length"):
+            runner.advance(np.array([0]), candidates=mask)
 
     def test_mask_frontier_matches_ids(self, tiny_graph):
         mask = np.zeros(tiny_graph.num_nodes, dtype=bool)

@@ -2,9 +2,9 @@
 
 ``frontier_golden.json`` holds, for every graph of the tiny paper suite
 under exact, coalescing, shared-memory and divergence plans, and for
-every way these solvers are driven — ``bfs`` under push, pull, sparse
-push and pull, direction-optimizing and edge-balanced push schedules
-and as the topology-driven Baseline-I kernel, ``pagerank`` under push,
+every way these solvers are driven — ``bfs`` under push, pull,
+direction-optimizing and edge-balanced push schedules and as the
+topology-driven Baseline-I kernel, ``pagerank`` under push,
 pull, direction-optimizing and edge-balanced push, Gunrock's
 ``pagerank_delta`` under push, pull and direction-optimizing, and
 Tigr's SSSP and PR (whose virtual-split context re-prices every sweep):
@@ -39,8 +39,6 @@ TECHNIQUES = ("exact", "coalescing", "shmem", "divergence")
 MODES = {
     "bfs-push": ("bfs", "push"),
     "bfs-pull": ("bfs", "pull"),
-    "bfs-push-sparse": ("bfs", "push:sparse"),
-    "bfs-pull-sparse": ("bfs", "pull:sparse"),
     "bfs-diropt": ("bfs", "direction-optimizing"),
     "bfs-push-edge": ("bfs", "push:edge"),
     "bfs-topology": ("bfs-topology", None),

@@ -310,13 +310,13 @@ class TestFullSweepMemo:
 
     def test_keys_never_alias(self, rmat_small):
         from repro.gpusim.costmodel import charge_sweep
-        from repro.perf.edgeshare import PullEdgeView
+        from repro.perf.edgeshare import EdgeView
 
         g = rmat_small
         rng = np.random.default_rng(42)
         mask = rng.random(g.num_nodes) < 0.4
         everyone = np.arange(g.num_nodes, dtype=np.int64)
-        rev = PullEdgeView(g).rev
+        rev = EdgeView(g).pull.rev
         ctx = ExecutionContext(g, K40C, resident_mask=mask)
         cases = [
             ({}, charge_sweep(g, K40C, everyone, resident_mask=mask)),

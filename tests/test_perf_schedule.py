@@ -28,7 +28,7 @@ from repro.errors import AlgorithmError, SimulationError
 from repro.graphs.csr import CSRGraph
 from repro.gpusim.device import K40C
 from repro.gpusim.costmodel import charge_sweep
-from repro.perf.edgeshare import PullEdgeView, pull_view_cache, shared_pull_view
+from repro.perf.edgeshare import EdgeView, edge_view_cache, shared_edge_view
 from repro.perf.schedule import (
     DIRECTIONS,
     FIXED_PUSH,
@@ -55,13 +55,13 @@ KERNELS = {
 
 class TestSweepDecision:
     def test_interned_identity(self):
-        a = SweepDecision("push", "auto", "vertex")
-        b = SweepDecision("push", "auto", "vertex")
+        a = SweepDecision("push", "vertex")
+        b = SweepDecision("push", "vertex")
         assert a is b
-        assert a is not SweepDecision("pull", "auto", "vertex")
+        assert a is not SweepDecision("pull", "vertex")
 
     def test_immutable(self):
-        d = SweepDecision("push", "auto", "vertex")
+        d = SweepDecision("push", "vertex")
         with pytest.raises(AttributeError):
             d.direction = "pull"
 
@@ -69,7 +69,6 @@ class TestSweepDecision:
         "kwargs",
         [
             {"direction": "sideways"},
-            {"frontier": "bitmapish"},
             {"partition": "diagonal"},
         ],
     )
@@ -86,16 +85,47 @@ class TestPolicies:
             num_nodes=10,
             num_edges=10,
         )
-        assert d.direction == "push" and d.frontier == "auto"
-        assert FixedPush().name == "fixed-push"
+        assert d is SweepDecision("push", "vertex")
 
-    def test_explicit_pins_and_names(self):
-        s = Explicit("pull", frontier="sparse", partition="edge")
+    def test_explicit_pins(self):
+        s = Explicit("pull", partition="edge")
         assert s.decision is s.decide(
             frontier_size=1, frontier_edges=1, num_nodes=2, num_edges=2
         )
-        assert s.name == "pull-sparse-edge"
-        assert Explicit("push").name == "push"
+        assert s.decision is SweepDecision("pull", "edge")
+
+    def test_step_decides_on_the_frontier_stats(self, rmat_small):
+        """``step`` hands ``decide`` the frontier's size and forward
+        out-edge count; ``None`` is the full sweep."""
+        g = rmat_small
+        seen = []
+
+        class Recording(Schedule):
+            def decide(self, **stats):
+                seen.append(stats)
+                return FIXED_PUSH.decide()
+
+        frontier = np.array([0, 3, 5], dtype=np.int64)
+        Recording().step(g, frontier, unexplored_edges=7, prev=None)
+        Recording().step(g, None)
+        degs = g.out_degrees()
+        common = {"num_nodes": g.num_nodes, "num_edges": g.num_edges}
+        assert seen == [
+            dict(
+                common,
+                frontier_size=3,
+                frontier_edges=int(degs[frontier].sum()),
+                unexplored_edges=7,
+                prev=None,
+            ),
+            dict(
+                common,
+                frontier_size=g.num_nodes,
+                frontier_edges=g.num_edges,
+                unexplored_edges=None,
+                prev=None,
+            ),
+        ]
 
     def test_direction_optimizing_hysteresis(self):
         do = DirectionOptimizing(alpha=15.0, beta=18.0)
@@ -111,7 +141,7 @@ class TestPolicies:
             frontier_size=400, frontier_edges=4000, num_nodes=n, num_edges=m,
             unexplored_edges=12_000, prev=d1,
         )
-        assert d2.direction == "pull" and d2.frontier == "dense"
+        assert d2.direction == "pull"
         # hysteresis: stays pull while the frontier is still ≥ n/beta,
         # even though the alpha test alone would say push
         d3 = do.decide(
@@ -156,13 +186,15 @@ class TestScheduleFor:
         assert isinstance(schedule_for(alias), DirectionOptimizing)
 
     def test_modifiers(self):
-        s = schedule_for("pull:sparse:edge")
+        s = schedule_for("pull:edge")
         assert s.decision.direction == "pull"
-        assert s.decision.frontier == "sparse"
         assert s.decision.partition == "edge"
         assert schedule_for("push:edge").decision.partition == "edge"
 
-    @pytest.mark.parametrize("bad", ["", "warp9", "push:diagonal", "do:dense"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "warp9", "push:diagonal", "do:dense", "pull:sparse", "push:dense"],
+    )
     def test_rejects(self, bad):
         with pytest.raises(SimulationError):
             schedule_for(bad)
@@ -170,7 +202,7 @@ class TestScheduleFor:
 
 class TestPullEdgeView:
     def test_matches_graph_reverse(self, rmat_small):
-        pv = PullEdgeView(rmat_small)
+        pv = EdgeView(rmat_small).pull
         rev = rmat_small.reverse()
         assert pv.rev.offsets.tobytes() == rev.offsets.tobytes()
         assert np.array_equal(
@@ -184,7 +216,7 @@ class TestPullEdgeView:
         dst = rng.integers(0, n, 400)
         w = rng.random(400)
         g = CSRGraph.from_edges(n, src, dst, w, sort_neighbors=False)
-        pv = PullEdgeView(g)
+        pv = EdgeView(g).pull
         rev = g.reverse()
         assert pv.rev.offsets.tobytes() == rev.offsets.tobytes()
         assert np.array_equal(
@@ -193,19 +225,20 @@ class TestPullEdgeView:
 
     def test_fwd_eid_roundtrip(self, rmat_small):
         """fwd_eid maps every pull record back to its forward edge."""
-        pv = PullEdgeView(rmat_small)
-        fwd = pv.forward
+        fwd = EdgeView(rmat_small)
+        pv = fwd.pull
         assert np.array_equal(fwd.src[pv.fwd_eid], pv.src)
         assert np.array_equal(fwd.dst[pv.fwd_eid], pv.dst)
         assert np.array_equal(np.sort(pv.fwd_eid), np.arange(pv.src.size))
 
-    def test_shared_pull_view_cached_by_fingerprint(self, rmat_small):
-        pull_view_cache().clear()
-        a = shared_pull_view(rmat_small)
-        b = shared_pull_view(rmat_small)
-        assert a is b
+    def test_pull_view_built_once_per_edge_view(self, rmat_small):
+        edge_view_cache().clear()
+        ev = shared_edge_view(rmat_small)
+        pv = ev.pull
+        assert pv is ev.pull
+        assert shared_edge_view(rmat_small).pull is pv
         other = CSRGraph.from_edges(3, [0, 1], [1, 2])
-        assert shared_pull_view(other) is not a
+        assert shared_edge_view(other).pull is not pv
 
 
 class TestEdgePartitionCostModel:
@@ -256,7 +289,7 @@ class TestKernelScheduleInvariance:
         )
         run = KERNELS[kernel]
         base = run(target, None)
-        for spec in SCHEDULES + ("pull:edge", "push:sparse"):
+        for spec in SCHEDULES + ("pull:edge", "push:edge"):
             res = run(target, spec)
             assert res.values.dtype == base.values.dtype, (kernel, spec)
             assert res.values.tobytes() == base.values.tobytes(), (kernel, spec)
