@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.algorithms import common
 from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.bfs import bfs
 from repro.algorithms.common import EdgeView, Runner, check_source, plan_for
+from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp, sssp_relax
 from repro.baselines import gunrock
 from repro.core.pipeline import ExecutionPlan, build_plan
@@ -156,6 +160,52 @@ class TestRunnerAdvance:
         assert _records(step) == set(
             zip(ev.src[want].tolist(), ev.dst[want].tolist(), want.tolist())
         )
+
+    @pytest.mark.parametrize("spec", ["pull", "pull:edge"])
+    def test_pull_gather_prices_what_advance_charges(self, rmat_small, spec):
+        """``pull_gather`` charges nothing itself; charging its keyword
+        arguments bills exactly what ``advance(candidates=…)`` bills."""
+        cands = np.array([1, 2, 7])
+        charged = Runner(plan_for(rmat_small)).use_schedule(spec)
+        step = charged.advance(np.array([0]), candidates=cands)
+        deferred = Runner(plan_for(rmat_small)).use_schedule(spec)
+        logged, charge = deferred.pull_gather(cands, step.decision)
+        assert deferred.metrics.num_sweeps == 0
+        assert logged.decision is step.decision
+        assert _records(logged) == _records(step)
+        deferred.ctx.charge(**charge)
+        assert deferred.metrics.num_sweeps == charged.metrics.num_sweeps == 1
+        assert deferred.metrics.total == charged.metrics.total
+
+    @pytest.mark.parametrize(
+        "solve,gathers",
+        [
+            (lambda g: pagerank(g, schedule="pull"), False),
+            (lambda g: sssp(g, 0, schedule="pull"), False),
+            (lambda g: bfs(g, 0, schedule="pull"), True),
+        ],
+        ids=["pagerank", "sssp", "bfs"],
+    )
+    def test_full_pull_sweeps_call_no_solver_gather(self, monkeypatch, solve, gathers):
+        """A full pull sweep charges the reverse view through the
+        full-sweep memo, so it never reaches the solver's frontier
+        gather; BFS's bottom-up steps gather their candidates."""
+        calls = []
+        original = common.expand_frontier
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # imported by name, the gather lives on in every importing module
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and (
+                getattr(module, "expand_frontier", None) is original
+            ):
+                monkeypatch.setattr(module, "expand_frontier", counting)
+        solve(road_network(8, seed=1))
+        assert bool(calls) is gathers
 
     def test_unscheduled_pushes_and_checks_the_level(self, tiny_graph):
         levels = []

@@ -70,6 +70,9 @@ class TestSweepDecision:
         [
             {"direction": "sideways"},
             {"partition": "diagonal"},
+            # frontier forms are not a schedule choice in either slot
+            {"direction": "sparse"},
+            {"partition": "dense"},
         ],
     )
     def test_validation(self, kwargs):
@@ -93,6 +96,15 @@ class TestPolicies:
             frontier_size=1, frontier_edges=1, num_nodes=2, num_edges=2
         )
         assert s.decision is SweepDecision("pull", "edge")
+
+    def test_no_frontier_axis(self):
+        """A decision is direction × partition; nothing pins a frontier
+        form."""
+        assert SweepDecision.__slots__ == ("direction", "partition")
+        with pytest.raises(TypeError):
+            Explicit("pull", frontier="dense")
+        with pytest.raises(TypeError):
+            SweepDecision("push", "vertex", "sparse")
 
     def test_step_decides_on_the_frontier_stats(self, rmat_small):
         """``step`` hands ``decide`` the frontier's size and forward
@@ -193,7 +205,18 @@ class TestScheduleFor:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "warp9", "push:diagonal", "do:dense", "pull:sparse", "push:dense"],
+        [
+            "",
+            "warp9",
+            "push:diagonal",
+            "do:dense",
+            "pull:sparse",
+            "push:dense",
+            "pull:dense",
+            "push:sparse",
+            "diropt:sparse",
+            "pull:edge:dense",
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(SimulationError):
