@@ -12,6 +12,11 @@ the transforms are keyed off: ``clustering_coefficients``,
 ``float.hex``).  Any change to which edges a transform adds, which
 nodes it pins or how it numbers them shows up here bit for bit.
 
+Beyond the default knobs it pins every plan the tuner builds: each
+threshold of ``repro.tune.search._candidates`` for coalescing and
+shared memory, and divergence at 0.1/0.3/0.5, built exactly as the
+search builds them (``_plan_with_threshold`` on the K40c).
+
 Refresh (only when a change is meant to move these numbers, and say why
 in the commit)::
 
@@ -27,12 +32,14 @@ import pytest
 from digests import golden_fixture, record_main, sha256
 
 from repro.core.pipeline import build_plan
+from repro.gpusim.device import K40C
 from repro.graphs.generators import PAPER_GRAPH_NAMES, paper_suite
 from repro.graphs.properties import (
     bfs_forest_levels,
     clustering_coefficients,
     graph_stats,
 )
+from repro.tune.search import TECHNIQUES_SEARCHED, _candidates, _plan_with_threshold
 
 GOLDEN = Path(__file__).with_name("plan_golden.json")
 TECHNIQUES = ("coalescing", "shmem", "divergence", "combined")
@@ -54,7 +61,14 @@ def _csr(graph) -> dict | None:
 
 
 def _plan_digest(graph, technique: str) -> dict:
-    plan = build_plan(graph, technique)
+    return _digest_of(build_plan(graph, technique))
+
+
+def _knob_plan_digest(graph, technique: str, thr: float) -> dict:
+    return _digest_of(_plan_with_threshold(graph, technique, thr, K40C))
+
+
+def _digest_of(plan) -> dict:
     graffix = plan.graffix
     return {
         "graph": _csr(plan.graph),
@@ -92,6 +106,19 @@ def _graph_key(name: str) -> str:
     return f"graph/{name}"
 
 
+def _knob_key(name: str, technique: str, thr: float) -> str:
+    return f"knob/{name}/{technique}@{thr!r}"
+
+
+def _knob_cells(suite: dict) -> list[tuple[str, str, float]]:
+    return [
+        (name, technique, thr)
+        for name in PAPER_GRAPH_NAMES
+        for technique in TECHNIQUES_SEARCHED
+        for thr in _candidates(suite[name], technique)
+    ]
+
+
 @pytest.fixture(scope="module")
 def suite() -> dict:
     return paper_suite("tiny", seed=7)
@@ -103,6 +130,7 @@ golden = golden_fixture(GOLDEN)
 def test_golden_covers_every_cell(golden):
     keys = [_plan_key(*cell) for cell in PLAN_CELLS]
     keys += [_graph_key(name) for name in PAPER_GRAPH_NAMES]
+    keys += [_knob_key(*cell) for cell in _knob_cells(paper_suite("tiny", seed=7))]
     assert sorted(golden) == sorted(keys)
 
 
@@ -117,10 +145,20 @@ def test_graph_analytics_match_golden(golden, suite, name):
     assert _graph_digest(suite[name]) == golden[_graph_key(name)]
 
 
+def test_knob_plans_match_golden(golden, suite):
+    for name, technique, thr in _knob_cells(suite):
+        got = _knob_plan_digest(suite[name], technique, thr)
+        assert got == golden[_knob_key(name, technique, thr)], (name, technique, thr)
+
+
 def _table() -> dict:
     suite = paper_suite("tiny", seed=7)
     table = {_plan_key(n, t): _plan_digest(suite[n], t) for n, t in PLAN_CELLS}
     table.update({_graph_key(n): _graph_digest(suite[n]) for n in PAPER_GRAPH_NAMES})
+    table.update(
+        {_knob_key(*cell): _knob_plan_digest(suite[cell[0]], *cell[1:])
+         for cell in _knob_cells(suite)}
+    )
     return table
 
 
