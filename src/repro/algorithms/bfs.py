@@ -69,18 +69,23 @@ def bfs(
 
     _sync_groups(level, g_slots, g_gids, num_groups)
     frontier = np.nonzero(level == 0)[0].astype(np.int64)
-    # Beamer's m_u: out-edges of still-unexplored nodes, maintained
-    # incrementally so the α switch test is O(frontier) per level
-    unexplored = plan.graph.num_edges - int(
-        (offsets[frontier + 1] - offsets[frontier]).sum()
-    )
+    # only a schedule reads the pull candidates and Beamer's m_u (the
+    # out-edges of still-unexplored nodes, maintained incrementally so
+    # the α switch test is O(frontier) per level); unscheduled runs
+    # always push, so they build neither
+    scheduled = runner.schedule is not None
+    unexplored = None
+    if scheduled:
+        unexplored = plan.graph.num_edges - int(
+            (offsets[frontier + 1] - offsets[frontier]).sum()
+        )
 
     while frontier.size:
         # the topology-driven kernel sweeps every edge; pull gathers
         # each unvisited node's in-edges (bottom-up)
         step = runner.advance(
             None if topology_driven else frontier,
-            candidates=level < 0,
+            candidates=level < 0 if scheduled else None,
             unexplored_edges=unexplored,
         )
         # an edge from the current level to an unvisited node levels it:
@@ -96,7 +101,8 @@ def bfs(
         else:
             frontier = np.nonzero(level == depth + 1)[0].astype(np.int64)
         depth += 1
-        unexplored -= int((offsets[frontier + 1] - offsets[frontier]).sum())
+        if scheduled:
+            unexplored -= int((offsets[frontier + 1] - offsets[frontier]).sum())
 
     if plan.graffix is not None:
         values = level[primary].astype(np.float64)

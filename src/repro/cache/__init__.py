@@ -12,9 +12,11 @@ forests, diameter estimates) are memoized on
   (``--cache-dir`` / ``REPRO_CACHE_DIR``; npz payloads + JSON metadata,
   atomic writes, checksum-verified reads).
 
-Caching is opt-in (off by default); see :mod:`repro.cache.memo` for the
-enablement model and ``docs/caching.md`` for the full story.  The CLI
-surface is ``python -m repro cache {stats,ls,clear}``.
+Caching is opt-in (off by default), except that the ``analytics.*``
+stages always memoize in memory and return read-only arrays; see
+:mod:`repro.cache.memo` for the enablement model and ``docs/caching.md``
+for the full story.  The CLI surface is ``python -m repro cache
+{stats,ls,clear}``.
 """
 
 from .keys import artifact_key, canonical_params, params_fingerprint

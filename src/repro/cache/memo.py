@@ -13,10 +13,15 @@ estimates — consult a two-tier cache before recomputing.
   points at the same directory, so parallel sweep workers and repeated
   or resumed runs skip transforms entirely.
 
-Caching is **off by default** (``active()`` is ``None`` and
-:func:`memoize` just calls through) so unit tests and fault-injection
-runs see every computation; a sweep opts in via :func:`configure`, the
-CLI flag, or the environment variable.  Keys are content addresses
+Caching is **off by default** (``active()`` is ``None``) so unit tests
+and fault-injection runs see every transform; a sweep opts in via
+:func:`configure`, the CLI flag, or the environment variable.  The one
+exception is the ``analytics.*`` stages: pure functions of an immutable
+graph, computed by several transforms and guidelines for the same
+input, they always memoize — with no cache configured, in a memory-only
+:class:`CacheConfig` of :data:`RESIDENT_ENTRIES` entries that nothing
+else uses.  Memoized arrays are returned read-only, so no caller can
+corrupt an entry every later caller shares.  Keys are content addresses
 (:mod:`repro.cache.keys`), so there is no invalidation protocol: a
 changed graph, knob, device, or seed simply misses.
 
@@ -44,6 +49,7 @@ from .store import MISS, DiskStore
 __all__ = [
     "CacheConfig",
     "active",
+    "clear_resident",
     "configure",
     "disable",
     "enabled",
@@ -73,6 +79,16 @@ class CacheConfig:
 
 _active: CacheConfig | None = None
 _env_checked = False
+
+#: stages memoized even with no cache configured
+ALWAYS_ON_PREFIX = "analytics."
+
+#: memory-tier bound for the always-on stages: a handful of entries per
+#: graph (coefficients, triangle counts, BFS forest, diameter, stats)
+#: over the few dozen graphs one command builds
+RESIDENT_ENTRIES = 64
+
+_resident = CacheConfig(memory_entries=RESIDENT_ENTRIES)
 
 
 def active() -> CacheConfig | None:
@@ -119,6 +135,14 @@ def disable() -> None:
     _env_checked = True
 
 
+def clear_resident() -> None:
+    """Empty the memory tier the always-on stages use with caching off.
+
+    Table 5 times each transform from a cold analytics pass this way.
+    """
+    _resident.memory.clear()
+
+
 @contextmanager
 def enabled(
     cache_dir: str | Path | None = None, memory_entries: int = 256
@@ -155,10 +179,15 @@ def memoize(
     tier its codec; omit them for memory-tier-only artifacts.
     ``extra_meta(value)`` contributes additional sidecar metadata fields
     (:func:`memoize_json` rides the value itself through this).
+
+    With no cache configured only ``analytics.*`` stages memoize, in the
+    resident memory tier; every other stage just computes.
     """
     cfg = active()
     if cfg is None:
-        return compute()
+        if not stage.startswith(ALWAYS_ON_PREFIX):
+            return compute()
+        cfg = _resident
     fp = graph.fingerprint() if hasattr(graph, "fingerprint") else str(graph)
     key = artifact_key(fp, stage, params)
     with obs_trace.span("cache.lookup", stage=stage) as sp:
@@ -202,7 +231,9 @@ def memoize_arrays(
     """:func:`memoize` with a numpy-archive disk codec.
 
     ``pack(value)`` names the arrays to persist; ``unpack(mapping)``
-    rebuilds the value from the loaded archive.
+    rebuilds the value from the loaded archive.  The value (an array or
+    a tuple of arrays) is returned read-only, computed or loaded: every
+    later lookup shares it.
     """
 
     def _save(value: Any, path: Path) -> None:
@@ -213,7 +244,20 @@ def memoize_arrays(
         with np.load(path) as data:
             return unpack({name: data[name] for name in data.files})
 
-    return memoize(stage, graph, params, compute, save=_save, load=_load)
+    return memoize(
+        stage,
+        graph,
+        params,
+        lambda: _read_only(compute()),
+        save=_save,
+        load=lambda path, meta: _read_only(_load(path, meta)),
+    )
+
+
+def _read_only(value: Any) -> Any:
+    for arr in value if isinstance(value, tuple) else (value,):
+        arr.setflags(write=False)
+    return value
 
 
 def memoize_json(

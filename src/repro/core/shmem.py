@@ -16,6 +16,11 @@ Approximation enters through edge addition, in two regimes:
 
 A global edge budget caps the total approximation (§3: "we maintain a
 global limit for the number of edges added").
+
+The coefficients of the output are not recounted: the transform adds
+the triangles its new edges close to the input's memoized integer
+counts (:func:`~repro.graphs.properties.triangle_counts`), so they are
+bit-identical to a full recount at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from ..errors import TransformError
 from ..graphs.csr import CSRGraph
-from ..graphs.properties import clustering_coefficients
+from ..graphs.properties import coefficients_from_counts, triangle_counts
 from ..gpusim.device import DeviceConfig, K40C
 from .knobs import SharedMemoryKnobs
 
@@ -76,22 +81,37 @@ class SharedMemoryPlan:
 def _undirected_adjacency(graph: CSRGraph) -> list[set[int]]:
     """Neighbor sets of the undirected view, for pairwise CC reasoning."""
     und = graph.to_undirected()
-    return [set(und.neighbors(v).tolist()) for v in range(und.num_nodes)]
+    offsets, indices = und.offsets.tolist(), und.indices.tolist()
+    return [set(indices[offsets[v] : offsets[v + 1]]) for v in range(und.num_nodes)]
 
 
-def _cc_of(adj: list[set[int]], v: int) -> float:
+def _add_closed_triangles(
+    triangles: np.ndarray, adj: list[set[int]], pairs: list[tuple[int, int]]
+) -> None:
+    """Add the triangles the new undirected ``pairs`` close, in place.
+
+    ``adj`` is the final adjacency (with every pair in it).  A triangle
+    with several new edges is counted once, at the first of them in
+    ``pairs`` order.
+    """
+    rank: dict[tuple[int, int], int] = {}
+    for i, (a, b) in enumerate(pairs):
+        rank[a, b] = rank[b, a] = i
+    corners: list[int] = []
+    for i, (a, b) in enumerate(pairs):
+        for c in adj[a] & adj[b]:
+            if rank.get((a, c), i) < i or rank.get((b, c), i) < i:
+                continue  # counted at an earlier new edge of this triangle
+            corners.extend((a, b, c))
+    if corners:
+        triangles += np.bincount(corners, minlength=triangles.size)
+
+
+def _sibling_links(adj: list[set[int]], v: int) -> int:
+    """Edges among ``v``'s neighbours (adj is symmetric, loop-free: each
+    linked pair is seen once from either end)."""
     nbrs = adj[v]
-    d = len(nbrs)
-    if d < 2:
-        return 0.0
-    links = 0
-    nl = list(nbrs)
-    for i, a in enumerate(nl):
-        sa = adj[a]
-        for b in nl[i + 1 :]:
-            if b in sa:
-                links += 1
-    return 2.0 * links / (d * (d - 1))
+    return sum(len(nbrs & adj[a]) for a in nbrs) // 2
 
 
 def plan_shared_memory(
@@ -105,25 +125,28 @@ def plan_shared_memory(
     if n == 0:
         raise TransformError("cannot plan shared memory for an empty graph")
 
-    cc = clustering_coefficients(graph)
+    triangles, degrees = triangle_counts(graph)
+    # the boost loop edits its own copy; the memoized counts stay shared
+    cc = coefficients_from_counts(triangles, degrees)
     budget = int(knobs.edge_budget_fraction * graph.num_edges)
     adj = _undirected_adjacency(graph)
-    degrees = np.array([len(s) for s in adj], dtype=np.int64)
 
     new_src: list[int] = []
     new_dst: list[int] = []
     new_w: list[float] = []
+    pairs: list[tuple[int, int]] = []
     weighted = graph.is_weighted
-    # weight lookup for 2-hop path sums on the directed graph
-    w_of: dict[tuple[int, int], float] = {}
-    if weighted:
-        srcs = graph.edge_sources()
-        for s, d, x in zip(
-            srcs.tolist(), graph.indices.tolist(), graph.weights.tolist()
-        ):
-            key = (s, d)
-            if key not in w_of or x < w_of[key]:
-                w_of[key] = x
+    offsets, indices, weights = graph.offsets, graph.indices, graph.weights
+
+    def hop_weight(x: int, y: int) -> float:
+        # the lightest x -> y arc of the directed graph, else the lightest
+        # y -> x arc, else 1
+        for s, d in ((x, y), (y, x)):
+            row = slice(offsets[s], offsets[s + 1])
+            hit = indices[row] == d
+            if hit.any():
+                return float(weights[row][hit].min())
+        return 1.0
 
     def path_weight(a: int, mid: int, b: int) -> float:
         # §3 gives no weight rule for its added edges (§4's sum rule is
@@ -132,9 +155,9 @@ def plan_shared_memory(
         # weights: the new sibling edge then genuinely perturbs weighted
         # algorithms (it can undercut the 2-hop path), which is the source
         # of this technique's higher measured inaccuracy.
-        wa = w_of.get((a, mid), w_of.get((mid, a), 1.0))
-        wb = w_of.get((mid, b), w_of.get((b, mid), 1.0))
-        return (wa + wb) / 2.0
+        if not weighted:
+            return 1.0  # unused: an unweighted output keeps no weights
+        return (hop_weight(a, mid) + hop_weight(mid, b)) / 2.0
 
     def emit(a: int, b: int, weight: float) -> None:
         # one logical (undirected) addition = two directed arcs
@@ -142,6 +165,7 @@ def plan_shared_memory(
         new_dst.extend((b, a))
         if weighted:
             new_w.extend((weight, weight))
+        pairs.append((a, b))
         adj[a].add(b)
         adj[b].add(a)
 
@@ -159,6 +183,9 @@ def plan_shared_memory(
         if degrees[v] < 2 or degrees[v] > _MAX_ANALYZED_DEGREE:
             continue
         nbrs = sorted(adj[v])
+        # each emitted pair links two of v's neighbours: v's coefficient
+        # is tracked from its link count
+        links = _sibling_links(adj, v)
         # candidate pairs: neighbours of v sharing a common neighbour, not
         # yet adjacent ("preferentially between those neighbors ... that
         # have common neighbors")
@@ -175,7 +202,8 @@ def plan_shared_memory(
                 mid = min(common)
                 emit(a, b, path_weight(a, mid, b))
                 added += 2
-                cur = _cc_of(adj, v)
+                links += 1
+                cur = 2.0 * links / (len(nbrs) * (len(nbrs) - 1))
                 cc[v] = cur
                 if cur >= knobs.cc_threshold or added >= budget:
                     done = True
@@ -235,19 +263,22 @@ def plan_shared_memory(
         added = 0
 
     # ---- pick clusters under the shared-memory capacity ---------------------
-    final_cc = clustering_coefficients(out_graph)
+    # adj is now the output's undirected view: update the input's counts
+    # instead of recounting triangles on the output
+    final_triangles = triangles.copy()
+    _add_closed_triangles(final_triangles, adj, pairs)
+    final_degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    final_cc = coefficients_from_counts(final_triangles, final_degrees)
     capacity = device.shared_mem_words
     resident = np.zeros(n, dtype=bool)
     clusters: list[np.ndarray] = []
-    und = out_graph.to_undirected()
     for v in np.argsort(-final_cc):
         v = int(v)
         if final_cc[v] < knobs.cc_threshold:
             break
         if resident[v]:
             continue
-        members = np.concatenate(([v], und.neighbors(v).astype(np.int64)))
-        members = np.unique(members)
+        members = np.array(sorted(adj[v] | {v}), dtype=np.int64)
         if members.size > capacity:
             continue
         clusters.append(members)

@@ -33,6 +33,7 @@ import multiprocessing as mp
 import os
 import time
 
+from ..cache import memo
 from ..errors import ReproError, WorkerTimeout
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -121,14 +122,16 @@ class _Task:
         self.last_error = ""
 
 
-def _cache_provenance(worker_metrics: dict | None) -> dict | None:
+def _cache_provenance(worker_metrics: dict | None, configured: bool) -> dict | None:
     """The ``cache.*`` counter slice of a worker's metrics snapshot.
 
     Journaled per cell (kind ``"cache"``) so a resumed run can tell which
     cells were served from the artifact cache versus computed fresh.
-    Returns ``None`` when the worker ran without any cache activity.
+    Returns ``None`` when the worker ran without any cache activity, or
+    without a ``configured`` cache: the always-on analytics memo counts
+    too, but it is not an artifact cache a resumed run could reuse.
     """
-    if not worker_metrics:
+    if not worker_metrics or not configured:
         return None
     counters = worker_metrics.get("counters") or {}
     prov = {n: v for n, v in counters.items() if n.startswith("cache.")}
@@ -216,11 +219,12 @@ def parallel_technique_rows(
     # so the aggregated registry is identical however the completion
     # order raced (see obs.metrics.merge_snapshot's gauge_merge doc)
     worker_snapshots: dict[tuple[str, int], dict] = {}
+    cache_configured = cache_dir is not None or memo.active() is not None
 
     def finish_ok(task: _Task, payload: list[dict], worker_metrics: dict | None) -> None:
         if worker_metrics:
             worker_snapshots[(task.graph, task.attempt)] = worker_metrics
-        cache_prov = _cache_provenance(worker_metrics)
+        cache_prov = _cache_provenance(worker_metrics, cache_configured)
         for row in payload:
             if journal is not None:
                 key = key_of(row["algorithm"], row["graph"])

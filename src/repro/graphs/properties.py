@@ -5,6 +5,11 @@ coefficient*; the divergence technique (§4) keys off the degree
 distribution; the renumbering (§2) needs BFS levels; Table 1 reports graph
 statistics.  Everything here is vectorized (scipy.sparse matrix products
 for triangle counting, frontier BFS in numpy).
+
+Each graph's analytics are computed once per process: the public entry
+points memoize on the graph fingerprint in :mod:`repro.cache`'s memory
+tier, which the ``analytics.*`` stages use even with caching off, and
+return their arrays read-only.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .csr import CSRGraph
 
 __all__ = [
     "clustering_coefficients",
+    "coefficients_from_counts",
+    "triangle_counts",
     "bfs_levels",
     "bfs_forest_levels",
     "estimate_diameter",
@@ -34,35 +41,58 @@ def clustering_coefficients(graph: CSRGraph) -> np.ndarray:
     """Per-node local clustering coefficient on the undirected view.
 
     ``cc[v] = triangles(v) / (deg(v) * (deg(v) - 1) / 2)``; nodes of degree
-    < 2 get 0.  Triangle counts come from ``diag(A^3) / 2`` on the
-    binarized symmetric adjacency matrix.
+    < 2 get 0.  Derived from :func:`triangle_counts`.
 
-    Memoized on the graph fingerprint when :mod:`repro.cache` is enabled
-    (§3 keys the shared-memory transform off these coefficients, the knob
-    guidelines reuse them, and they are identical across techniques).
+    Memoized on the graph fingerprint (§3 keys the shared-memory transform
+    off these coefficients, the knob guidelines reuse them, and they are
+    identical across techniques); the array is read-only.
     """
     return memoize_arrays(
         "analytics.clustering_coefficients",
         graph,
         None,
-        lambda: _clustering_coefficients(graph),
+        lambda: coefficients_from_counts(*triangle_counts(graph)),
         pack=lambda cc: {"cc": cc},
         unpack=lambda data: data["cc"],
     )
 
 
-def _clustering_coefficients(graph: CSRGraph) -> np.ndarray:
+def triangle_counts(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(triangles, degrees)`` per node of the undirected view, as int64.
+
+    The integer inputs of :func:`coefficients_from_counts`: the §3
+    transform updates them after adding edges instead of recounting.
+    Triangles come from ``diag(A^3) / 2`` on the binarized symmetric
+    adjacency matrix.  Memoized on the graph fingerprint; read-only.
+    """
+    return memoize_arrays(
+        "analytics.triangle_counts",
+        graph,
+        None,
+        lambda: _triangle_counts(graph),
+        pack=lambda td: {"triangles": td[0], "degrees": td[1]},
+        unpack=lambda data: (data["triangles"], data["degrees"]),
+    )
+
+
+def _triangle_counts(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     und = graph.to_undirected()
     a = to_scipy(und)
     a.data[:] = 1.0
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    # triangles via A @ A, then row-wise dot with A's pattern
+    # closed 2-walks via A @ A, then row-wise dot with A's pattern; the
+    # float sums are exact integers, two per triangle
     a2 = (a @ a).tocsr()
-    tri = np.asarray(a2.multiply(a).sum(axis=1)).ravel() / 2.0
+    closed = np.asarray(a2.multiply(a).sum(axis=1)).ravel()
+    return closed.astype(np.int64) // 2, np.diff(und.offsets).astype(np.int64)
+
+
+def coefficients_from_counts(triangles: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Clustering coefficients from integer triangle counts and degrees."""
+    deg = degrees.astype(np.float64)
     denom = deg * (deg - 1) / 2.0
-    cc = np.zeros(graph.num_nodes, dtype=np.float64)
+    cc = np.zeros(triangles.size, dtype=np.float64)
     ok = denom > 0
-    cc[ok] = tri[ok] / denom[ok]
+    cc[ok] = triangles[ok] / denom[ok]
     return np.clip(cc, 0.0, 1.0)
 
 
@@ -132,9 +162,9 @@ def bfs_forest_levels(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     assigns level 0 to a non-root (frontier expansion writes depths
     >= 1, and an existing root cannot be lowered below 0).
 
-    Memoized on the graph fingerprint when :mod:`repro.cache` is enabled
-    (the renumbering recomputes the same forest for every technique that
-    includes coalescing).
+    Memoized on the graph fingerprint (the renumbering recomputes the
+    same forest for every technique that includes coalescing); both
+    arrays are read-only.
     """
     return memoize_arrays(
         "analytics.bfs_forest_levels",
@@ -192,8 +222,8 @@ def estimate_diameter(graph: CSRGraph, *, num_probes: int = 4, seed: int = 0) ->
     to report Table-1 style statistics.  Operates on the undirected view so
     weakly-connected graphs still get a finite estimate.
 
-    Memoized on ``(graph, num_probes, seed)`` when :mod:`repro.cache` is
-    enabled — the double-sweep BFS probes dominate ``graph_stats`` time.
+    Memoized on ``(graph, num_probes, seed)`` — the double-sweep BFS
+    probes dominate ``graph_stats`` time.
     """
     return memoize_json(
         "analytics.estimate_diameter",
@@ -259,8 +289,8 @@ class GraphStats:
 def graph_stats(graph: CSRGraph, *, diameter_probes: int = 2) -> GraphStats:
     """Compute the summary row reported in the Table 1 reproduction.
 
-    Memoized on ``(graph, diameter_probes)`` when :mod:`repro.cache` is
-    enabled; the record rides in the metadata sidecar, no array payload.
+    Memoized on ``(graph, diameter_probes)``; on the disk tier the record
+    rides in the metadata sidecar, no array payload.
     """
     return memoize_json(
         "analytics.graph_stats",

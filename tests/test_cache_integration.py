@@ -209,6 +209,43 @@ class TestCachedPlanFidelity:
         assert p1 is p2
 
 
+class TestAnalyticsNotAliased:
+    """The shared-memory transform edits clustering coefficients while it
+    boosts nodes; it must edit its own copy, never the array the memory
+    tier hands every caller, or later plans read corrupted values."""
+
+    @staticmethod
+    def _shmem_digest(graph, knobs) -> tuple:
+        from repro.core.pipeline import build_plan
+
+        plan = build_plan(graph, "shmem", shmem=knobs)
+        return (
+            plan.edges_added,
+            plan.graph.fingerprint(),
+            plan.resident_mask.tobytes(),
+            plan.cluster_graph.fingerprint(),
+        )
+
+    def test_plans_and_tuning_match_the_uncached_run(self, suite_tiny):
+        from repro.core.knobs import SharedMemoryKnobs
+        from repro.tune.search import tune_family
+
+        graph = suite_tiny["usa-road"]
+        knobs = (
+            SharedMemoryKnobs(cc_threshold=0.5),
+            SharedMemoryKnobs(cc_threshold=0.5, boost_band=0.1),
+        )
+
+        def run() -> tuple:
+            plans = tuple(self._shmem_digest(graph, k) for k in knobs)
+            return plans, tune_family("random", suite_tiny["random"], quick=True)
+
+        uncached = run()
+        with repro_cache.enabled():
+            cached = run()
+        assert cached == uncached
+
+
 class TestFaultInjectionUnaffected:
     def test_disabled_cache_preserves_fault_semantics(self, rmat_small):
         """With caching off (the default), every build_plan still reaches

@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 from repro.core.coalesce import transform_graph
 from repro.core.divergence import normalize_degrees
 from repro.core.knobs import CoalescingKnobs, DivergenceKnobs
+from repro.core.knobs import SharedMemoryKnobs
 from repro.core.renumber import renumber
+from repro.core.shmem import (
+    _add_closed_triangles,
+    _undirected_adjacency,
+    plan_shared_memory,
+)
 from repro.graphs.csr import CSRGraph
+from repro.graphs.properties import _triangle_counts, coefficients_from_counts
 from repro.gpusim.device import DeviceConfig
 from repro.gpusim.memory import count_transactions
 
-from strategies import random_graphs
+from strategies import adversarial_graphs, random_graphs
 
 
 class TestRenumberProperties:
@@ -89,6 +96,94 @@ class TestTransformProperties:
         finite = np.isfinite(before)
         assert np.array_equal(finite, np.isfinite(after))
         assert np.allclose(before[finite], after[finite])
+
+
+def _recount(graph: CSRGraph) -> np.ndarray:
+    """The full, uncached clustering-coefficient recount."""
+    return coefficients_from_counts(*_triangle_counts(graph))
+
+
+def _with_pairs(graph: CSRGraph, pairs) -> CSRGraph:
+    """``graph`` plus both arcs of every pair, keeping parallel edges."""
+    new = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([graph.edge_sources().astype(np.int64), new[:, 0], new[:, 1]])
+    dst = np.concatenate([graph.indices.astype(np.int64), new[:, 1], new[:, 0]])
+    w = None
+    if graph.is_weighted:
+        w = np.concatenate([graph.weights, np.ones(2 * len(new))])
+    return CSRGraph.from_edges(graph.num_nodes, src, dst, w, dedup=False)
+
+
+def _incremental(graph: CSRGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The §3 update: the input's counts plus the triangles ``pairs`` close."""
+    adj = _undirected_adjacency(graph)
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    triangles, _ = _triangle_counts(graph)
+    triangles = triangles.copy()
+    _add_closed_triangles(triangles, adj, list(pairs))
+    return triangles, np.array([len(s) for s in adj], dtype=np.int64)
+
+
+def _assert_update_equals_recount(graph: CSRGraph, pairs) -> np.ndarray:
+    triangles, degrees = _incremental(graph, pairs)
+    out = _with_pairs(graph, pairs)
+    want_triangles, want_degrees = _triangle_counts(out)
+    assert np.array_equal(triangles, want_triangles)
+    assert np.array_equal(degrees, want_degrees)
+    got = coefficients_from_counts(triangles, degrees)
+    assert got.tobytes() == _recount(out).tobytes()
+    return triangles
+
+
+@st.composite
+def graphs_with_new_pairs(draw):
+    """An adversarial graph and an ordered set of undirected pairs it lacks.
+
+    Pairs are drawn from a small node pool, so several new edges often
+    share a triangle (two or three of its sides new).
+    """
+    g = draw(adversarial_graphs())
+    present = set(zip(g.edge_sources().tolist(), g.indices.tolist()))
+    pool = draw(
+        st.lists(st.integers(0, g.num_nodes - 1), min_size=0, max_size=6, unique=True)
+    )
+    candidates = [
+        (a, b)
+        for i, a in enumerate(pool)
+        for b in pool[i + 1 :]
+        if (a, b) not in present and (b, a) not in present
+    ]
+    chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return g, chosen
+
+
+class TestIncrementalClustering:
+    """The §3 transform updates the coefficients of its output from the
+    input's triangle counts; the result must be byte-equal to a recount."""
+
+    @given(graphs_with_new_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_update_equals_recount(self, drawn):
+        _assert_update_equals_recount(*drawn)
+
+    def test_triangle_closed_by_two_and_three_new_edges(self):
+        # 0-1 exists: (1,2) and (0,2) close one triangle with two new sides;
+        # 3, 4, 5 are isolated: three new sides close the second
+        g = CSRGraph.from_edges(6, np.array([0]), np.array([1]))
+        pairs = [(1, 2), (3, 4), (0, 2), (4, 5), (3, 5)]
+        triangles = _assert_update_equals_recount(g, pairs)
+        assert np.array_equal(triangles, np.ones(6))
+
+    @given(adversarial_graphs(), st.sampled_from([0.2, 0.5, 0.8]))
+    @settings(max_examples=40, deadline=None)
+    def test_shmem_plan_coefficients_equal_recount(self, g, thr):
+        knobs = SharedMemoryKnobs(
+            cc_threshold=thr, boost_band=0.5, edge_budget_fraction=1.0
+        )
+        plan = plan_shared_memory(g, knobs)
+        assert plan.cc.tobytes() == _recount(plan.graph).tobytes()
 
 
 class TestSimulatorProperties:
