@@ -198,9 +198,13 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
         if num_groups:
             merge_mean(delta, level, level[g_slots] >= 0)
 
-    def decide(i: int, frontier: np.ndarray, unexplored_edges=None):
+    def decide(i: int, d: int, unexplored_edges=None):
         prev[i] = sched.step(
-            graph, frontier, unexplored_edges=unexplored_edges, prev=prev[i]
+            graph,
+            fronts[i][d],
+            frontier_edges=front_edges[i][d],
+            unexplored_edges=unexplored_edges,
+            prev=prev[i],
         )
         return prev[i]
 
@@ -229,6 +233,9 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
     # per-lane frontier of every forward level, the last one current
     fronts: list[list[np.ndarray]] = [[] for _ in range(num_lanes)]
     prev = [None] * num_lanes  # schedule hysteresis, per lane
+    # only decide() reads these: the out-edge count of every forward
+    # frontier (summed once, read by both passes) and Beamer's m_u
+    front_edges: list[list[int]] = [[] for _ in range(num_lanes)]
     unexplored = [0] * num_lanes
     for i, s in enumerate(sources):
         lv = level2[i]
@@ -237,8 +244,9 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
         sync(lv, sigma2[i])
         f = np.nonzero(lv == 0)[0].astype(np.int64)
         fronts[i].append(f)
-        if sched is not None:  # only decide() reads unexplored_edges
-            unexplored[i] = m - int((offsets[f + 1] - offsets[f]).sum())
+        if sched is not None:
+            front_edges[i].append(int((offsets[f + 1] - offsets[f]).sum()))
+            unexplored[i] = m - front_edges[i][-1]
     lane_depth = [0] * num_lanes
     active = list(range(num_lanes))
     depth = 0
@@ -256,7 +264,7 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
                 decisions = dict.fromkeys(active)
             else:
                 decisions = {
-                    i: decide(i, fronts[i][-1], unexplored_edges=unexplored[i])
+                    i: decide(i, -1, unexplored_edges=unexplored[i])
                     for i in active
                 }
             pull_lanes = [
@@ -336,7 +344,8 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
                     f = np.nonzero(lv == depth + 1)[0].astype(np.int64)
                 fronts[i].append(f)
                 if sched is not None:
-                    unexplored[i] -= int((offsets[f + 1] - offsets[f]).sum())
+                    front_edges[i].append(int((offsets[f + 1] - offsets[f]).sum()))
+                    unexplored[i] -= front_edges[i][-1]
                 lane_depth[i] = depth + 1
                 if f.size:
                     still.append(i)
@@ -352,7 +361,7 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
             if sched is None:
                 decisions = dict.fromkeys(lanes_here)
             else:
-                decisions = {i: decide(i, fronts[i][d]) for i in lanes_here}
+                decisions = {i: decide(i, d) for i in lanes_here}
             pull_lanes = [
                 i
                 for i in lanes_here

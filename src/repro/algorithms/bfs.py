@@ -69,16 +69,16 @@ def bfs(
 
     _sync_groups(level, g_slots, g_gids, num_groups)
     frontier = np.nonzero(level == 0)[0].astype(np.int64)
-    # only a schedule reads the pull candidates and Beamer's m_u (the
-    # out-edges of still-unexplored nodes, maintained incrementally so
-    # the α switch test is O(frontier) per level); unscheduled runs
-    # always push, so they build neither
+    # only a schedule reads the pull candidates, the frontier's out-edge
+    # count and Beamer's m_u (the out-edges of still-unexplored nodes,
+    # maintained incrementally so the α switch test is O(frontier) per
+    # level, with each frontier's out-degrees summed once); unscheduled
+    # runs always push, so they build none of them
     scheduled = runner.schedule is not None
-    unexplored = None
+    fedges = unexplored = None
     if scheduled:
-        unexplored = plan.graph.num_edges - int(
-            (offsets[frontier + 1] - offsets[frontier]).sum()
-        )
+        fedges = int((offsets[frontier + 1] - offsets[frontier]).sum())
+        unexplored = plan.graph.num_edges - fedges
 
     while frontier.size:
         # the topology-driven kernel sweeps every edge; pull gathers
@@ -86,6 +86,7 @@ def bfs(
         step = runner.advance(
             None if topology_driven else frontier,
             candidates=level < 0 if scheduled else None,
+            frontier_edges=fedges,
             unexplored_edges=unexplored,
         )
         # an edge from the current level to an unvisited node levels it:
@@ -102,7 +103,8 @@ def bfs(
             frontier = np.nonzero(level == depth + 1)[0].astype(np.int64)
         depth += 1
         if scheduled:
-            unexplored -= int((offsets[frontier + 1] - offsets[frontier]).sum())
+            fedges = int((offsets[frontier + 1] - offsets[frontier]).sum())
+            unexplored -= fedges
 
     if plan.graffix is not None:
         values = level[primary].astype(np.float64)

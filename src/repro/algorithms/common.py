@@ -205,6 +205,7 @@ class Runner:
         frontier: np.ndarray | None,
         *,
         candidates: np.ndarray | None = None,
+        frontier_edges: int | None = None,
         unexplored_edges: int | None = None,
     ) -> Advance:
         """One frontier step: schedule decision, edge expansion, charge.
@@ -214,8 +215,9 @@ class Runner:
         node.  The installed schedule (:meth:`use_schedule`) decides the
         direction and partition through
         :meth:`~repro.perf.schedule.Schedule.step`, with
-        ``unexplored_edges`` as Beamer's remaining-edge count when the
-        caller tracks it; with no schedule the step pushes and the
+        ``unexplored_edges`` as Beamer's remaining-edge count and
+        ``frontier_edges`` as the frontier's out-edge count when the
+        caller tracks them; with no schedule the step pushes and the
         schedule is not consulted.
 
         * **push** expands the frontier's out-edges (every edge for the
@@ -246,7 +248,11 @@ class Runner:
             # the previous decision is threaded per runner, so one shared
             # Schedule can drive concurrent runners (its decide is pure)
             decision = self._sched_prev = self.schedule.step(
-                g, frontier, unexplored_edges=unexplored_edges, prev=self._sched_prev
+                g,
+                frontier,
+                frontier_edges=frontier_edges,
+                unexplored_edges=unexplored_edges,
+                prev=self._sched_prev,
             )
         partition = "vertex" if decision is None else decision.partition
         if decision is None or decision.direction == "push":

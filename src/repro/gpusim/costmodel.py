@@ -19,19 +19,22 @@ The function never computes algorithm values — value updates are done by
 the (vectorized, honest) algorithm implementations; this separation keeps
 the simulator deterministic and testable against brute force.
 
-:func:`charge_sweeps_batched` prices many sweeps in one vectorized pass
-and returns exactly the costs per-sweep :func:`charge_sweep` calls
-would.  Both pricers stay because each wins where it is used: the scalar
-path on single full sweeps and small frontiers, the batched one on runs
-of many small level-synchronous sweeps (``docs/performance.md`` has the
-measurements).  Solvers never call either directly: they charge through
-:class:`~repro.gpusim.kernel.ExecutionContext`, which picks the pricer
-and keeps the ledger.
+:func:`charge_vertex_sweeps` is the one vertex-partition pricer: it
+prices a run of 1..K sweeps in one vectorized pass, and
+:func:`charge_sweep` prices a single vertex-partitioned sweep as a run
+of one.  The edge-partition arm is separate because its warps are
+built from edge records, not nodes.  Solvers never call the pricer
+directly: they charge through
+:class:`~repro.gpusim.kernel.ExecutionContext`, which keeps the ledger.
+:func:`expand_accesses` and the composable pieces in
+:mod:`repro.gpusim.warp` / :mod:`repro.gpusim.memory` are the
+independent reference the tests price against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .device import DeviceConfig
 __all__ = [
     "SweepCost",
     "charge_sweep",
-    "charge_sweeps_batched",
+    "charge_vertex_sweeps",
     "expand_accesses",
 ]
 
@@ -125,43 +128,59 @@ def expand_accesses(
     return warp, step, edge_pos, dst
 
 
-def _distinct_groups(
-    group: np.ndarray, segment: np.ndarray, s_span: int
-) -> int:
-    """Distinct ``(group, segment)`` pairs, assuming ``segment < s_span``.
-
-    ``group`` is the pre-packed warp-step id.  The count is exactly what
-    :func:`repro.gpusim.memory.count_transactions` derives via its
-    data-scanned key spans — any injective packing yields the same number
-    of distinct keys — but with no extra reductions and an in-place sort
-    of a throwaway key array instead of a hash table.
-    """
-    if group.size == 0:
-        return 0
-    keys = group * s_span + segment
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
-def _region_distinct(keys: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _region_distinct(
+    keys: np.ndarray, bounds, select: np.ndarray | None = None
+) -> list[int]:
     """Per-region distinct-value counts of region-monotone ``keys``.
 
-    ``bounds`` (length K+1) delimits K concatenated key regions; every
-    key of region k must be strictly below every key of region k+1, so
-    one global in-place sort keeps regions contiguous and a prefix sum
-    of adjacent-change flags yields each region's distinct count.
+    ``bounds`` (K+1 ints) delimits K concatenated key regions; every key
+    of region k must be strictly below every key of region k+1, so one
+    in-place sort keeps regions contiguous and a run-start
+    ``searchsorted`` yields each region's distinct count.  ``select``
+    (a boolean mask over ``keys``) counts that subset only.  One region
+    needs no bookkeeping: it is a plain sort-and-count.
+
+    Any injective packing of ``(warp step, segment)`` into keys yields
+    the count :func:`repro.gpusim.memory.count_transactions` derives
+    with its data-scanned key spans.  ``keys`` is sorted in place, so
+    callers pass a throwaway array.
     """
+    if len(bounds) == 2:
+        if select is not None:
+            keys = keys[select]
+        if keys.size == 0:
+            return [0]
+        keys.sort()
+        return [1 + int(np.count_nonzero(keys[1:] != keys[:-1]))]
+    if select is not None:
+        keys = keys[select]
+        bounds = np.concatenate(([0], np.cumsum(select, dtype=np.int64)))[bounds]
+    else:
+        bounds = np.asarray(bounds, dtype=np.int64)
     if keys.size == 0:
-        return np.zeros(bounds.size - 1, dtype=np.int64)
+        return [0] * (len(bounds) - 1)
     keys.sort()
     # run starts except position 0; each region's first element is one
     # (keys change across region boundaries), so counting run starts in
     # [lo, hi) needs only a +1 for the run at position 0
-    rs = np.nonzero(keys[1:] != keys[:-1])[0] + 1
+    rs = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     lo = bounds[:-1]
     hi = bounds[1:]
     cnt = np.searchsorted(rs, hi) - np.searchsorted(rs, lo)
-    return np.where(hi > lo, cnt + (lo == 0), 0)
+    return np.where(hi > lo, cnt + (lo == 0), 0).tolist()
+
+
+def _region_sum(values: np.ndarray, bounds: list[int]) -> list[int]:
+    """Per-region sums of ``values`` over non-empty regions ``bounds``."""
+    if len(bounds) == 2:
+        return [int(values.sum())]
+    return np.add.reduceat(values, bounds[:-1]).tolist()
+
+
+def _check_ids(graph: CSRGraph, active: np.ndarray) -> None:
+    """Refuse node ids outside ``[0, num_nodes)``."""
+    if active.size and (active.min() < 0 or active.max() >= graph.num_nodes):
+        raise SimulationError("active node id out of range")
 
 
 def _checked_inputs(
@@ -212,110 +231,112 @@ def _sweep_cost(
     )
 
 
-def charge_sweeps_batched(
+def charge_vertex_sweeps(
     graph: CSRGraph,
     device: DeviceConfig,
     sweeps,
     *,
     resident_mask: np.ndarray | None = None,
+    all_shared: bool = False,
 ) -> list[SweepCost]:
-    """Vectorized equivalent of one :func:`charge_sweep` per expansion.
+    """Price vertex-partitioned sweeps, one lane per active node.
 
-    ``sweeps`` is a sequence of precomputed expansions (duck-typed like
-    :class:`~repro.perf.gather.SweepExpansion`), each describing one
-    sweep's active list *in processing order* over ``graph``.  Returns
-    exactly the :class:`SweepCost` objects the per-sweep calls would —
-    same integers, bit-identical cycles — but with the warp schedule,
-    divergence stats, and transaction counts of every sweep computed in
-    one pass over the concatenated arrays.  This is what makes per-sweep
-    cost accounting cheap for level-synchronous solvers, whose hundreds
-    of small frontiers otherwise pay fixed numpy overhead per sweep.
+    ``sweeps`` is a sequence of :class:`~repro.perf.gather.SweepExpansion`
+    over ``graph``, each one sweep's active list *in processing order*.
+    Returns one :class:`SweepCost` per sweep (empty sweeps cost nothing),
+    with the warp schedule, divergence stats and transaction counts of
+    every sweep computed in one pass over the concatenated records.
+    Warps restart at every sweep boundary and are numbered globally, so
+    the packed keys stay sweep-monotone and one sort per access class
+    prices the whole run.  A single sweep is the one-region case and
+    skips the concatenation and the region bookkeeping.
 
-    ``all_shared`` sweeps are not supported (the §3 cluster iterations
-    charge eagerly); ``resident_mask`` works as in :func:`charge_sweep`.
+    ``resident_mask`` and ``all_shared`` work as in :func:`charge_sweep`
+    and apply to every sweep of the call.
     """
     resident_mask = _checked_inputs(graph, device, resident_mask)
-    line = device.line_words
-    sweeps = list(sweeps)
     live = [s for s in sweeps if s.frontier.size]
     if not live:
-        return [SweepCost() for _ in sweeps]
-
-    ws = device.warp_size
-    active = np.concatenate([s.frontier for s in live])
-    if active.min() < 0 or active.max() >= graph.num_nodes:
-        raise SimulationError("active node id out of range")
-    counts = np.array([s.frontier.size for s in live], dtype=np.int64)
-    pos_bounds = np.concatenate(([0], np.cumsum(counts)))
-    degs = np.concatenate([s.degs for s in live])
-    edge_bounds = np.concatenate(
-        ([0], np.cumsum([s.epos.size for s in live]))
-    ).astype(np.int64)
-    busy_k = np.diff(edge_bounds)
-
-    # warp schedule: warps restart at every sweep boundary, numbered
-    # globally so keys below stay sweep-monotone
-    num_warps_k = -(-counts // ws)
-    warp_offsets = np.concatenate(([0], np.cumsum(num_warps_k)))[:-1]
-    pos_in_sweep = ragged_arange(counts)
-    gwarp_of_pos = pos_in_sweep // ws + np.repeat(warp_offsets, counts)
-    warp_start_pos = np.nonzero(pos_in_sweep % ws == 0)[0]
-    warp_max = np.maximum.reduceat(degs, warp_start_pos)
-    lanes = np.diff(np.append(warp_start_pos, active.size))
-    serial_k = np.add.reduceat(warp_max, warp_offsets)
-    idle_k = np.add.reduceat(warp_max * lanes, warp_offsets) - busy_k
-
-    step_span = max(int(warp_max.max()), 1)
-    edge_seg_span = graph.num_edges // line + 1
-    node_seg_span = graph.num_nodes // line + 1
-    total_warps = int(num_warps_k.sum())
-    if total_warps * step_span * max(edge_seg_span, node_seg_span) >= _INT64_MAX:
-        raise SimulationError("access space too large to encode in int64 keys")
-
-    K = len(live)
-    if int(busy_k.sum()):
+        return [SweepCost()] * len(sweeps)
+    if len(live) == 1:
+        (only,) = live
+        active, degs = only.frontier, only.degs
+        step, epos, dst = only.step, only.epos, only.e_dst
+    else:
+        active = np.concatenate([s.frontier for s in live])
+        degs = np.concatenate([s.degs for s in live])
         step = np.concatenate([s.step for s in live])
         epos = np.concatenate([s.epos for s in live])
         dst = np.concatenate([s.e_dst for s in live])
-        gid = np.repeat(gwarp_of_pos * step_span, degs) + step
-        edge_t_k = _region_distinct(gid * edge_seg_span + epos // line, edge_bounds)
-        dst_seg = dst // line
-        if resident_mask is not None:
-            shared = resident_mask[dst]
-            sh_pre = np.concatenate(
-                ([0], np.cumsum(shared, dtype=np.int64))
-            )
-            sh_bounds = sh_pre[edge_bounds]
-            gl_bounds = edge_bounds - sh_bounds
-            attr_keys = gid * node_seg_span + dst_seg
-            attr_global_k = _region_distinct(attr_keys[~shared], gl_bounds)
-            attr_shared_k = _region_distinct(attr_keys[shared], sh_bounds)
-        else:
-            attr_global_k = _region_distinct(
-                gid * node_seg_span + dst_seg, edge_bounds
-            )
-            attr_shared_k = np.zeros(K, dtype=np.int64)
+    _check_ids(graph, active)
+
+    ws, line = device.warp_size, device.line_words
+    counts = [s.frontier.size for s in live]
+    busy_k = [s.epos.size for s in live]
+    pos_bounds = list(accumulate(counts, initial=0))
+    edge_bounds = list(accumulate(busy_k, initial=0))
+    warp_bounds = list(accumulate((-(-c // ws) for c in counts), initial=0))
+
+    # warp schedule: each warp serializes its busiest lane's degree, and
+    # every lane idles for the rest of those steps
+    if len(live) == 1:
+        warp_of_pos = np.arange(active.size, dtype=np.int64) // ws
+        warp_start = np.arange(0, active.size, ws, dtype=np.int64)
     else:
-        edge_t_k = attr_global_k = np.zeros(K, dtype=np.int64)
-        attr_shared_k = np.zeros(K, dtype=np.int64)
+        pos_in_sweep = ragged_arange(counts)
+        warp_of_pos = pos_in_sweep // ws + np.repeat(warp_bounds[:-1], counts)
+        warp_start = np.flatnonzero(pos_in_sweep % ws == 0)
+    warp_max = np.maximum.reduceat(degs, warp_start)
+    serial_k = _region_sum(warp_max, warp_bounds)
+    idle_k = [
+        w - b
+        for w, b in zip(_region_sum(warp_max[warp_of_pos], pos_bounds), busy_k)
+    ]
 
+    # structural span bounds (no data scans); the guard mirrors
+    # memory._encode_keys' int64 overflow refusal
+    step_span = max(int(warp_max.max()), 1)
+    edge_seg_span = graph.num_edges // line + 1
+    node_seg_span = graph.num_nodes // line + 1
+    if warp_bounds[-1] * step_span * max(edge_seg_span, node_seg_span) >= _INT64_MAX:
+        raise SimulationError("access space too large to encode in int64 keys")
+
+    zeros = [0] * len(live)
+    if edge_bounds[-1]:
+        gid = np.repeat(warp_of_pos * step_span, degs) + step
+        # (1) reading the edges array itself
+        edge_t_k = _region_distinct(gid * edge_seg_span + epos // line, edge_bounds)
+        # (2) destination-attribute accesses, split by residency
+        attr_keys = gid * node_seg_span + dst // line
+        if all_shared:
+            attr_global_k = zeros
+            attr_shared_k = _region_distinct(attr_keys, edge_bounds)
+        elif resident_mask is not None:
+            shared = resident_mask[dst]
+            attr_global_k = _region_distinct(attr_keys, edge_bounds, ~shared)
+            attr_shared_k = _region_distinct(attr_keys, edge_bounds, shared)
+        else:
+            attr_global_k = _region_distinct(attr_keys, edge_bounds)
+            attr_shared_k = zeros
+    else:
+        edge_t_k = attr_global_k = attr_shared_k = zeros
+    # (3) one source-attribute pass: lane p reads/writes its own node's
+    # attribute, coalesced iff the active ids are clustered
     src_t_k = _region_distinct(
-        gwarp_of_pos * node_seg_span + active // line, pos_bounds
+        warp_of_pos * node_seg_span + active // line, pos_bounds
     )
 
-    costs = iter(
-        _sweep_cost(device, *counts)
-        for counts in zip(
-            serial_k.tolist(),
-            busy_k.tolist(),
-            idle_k.tolist(),
-            edge_t_k.tolist(),
-            attr_global_k.tolist(),
-            attr_shared_k.tolist(),
-            src_t_k.tolist(),
+    costs = [
+        _sweep_cost(device, *c, all_shared=all_shared)
+        for c in zip(
+            serial_k, busy_k, idle_k, edge_t_k, attr_global_k, attr_shared_k,
+            src_t_k,
         )
-    )
-    return [next(costs) if s.frontier.size else SweepCost() for s in sweeps]
+    ]
+    if len(costs) == len(sweeps):
+        return costs
+    priced = iter(costs)
+    return [next(priced) if s.frontier.size else SweepCost() for s in sweeps]
 
 
 def charge_sweep(
@@ -354,9 +375,10 @@ def charge_sweep(
     partition:
         ``"vertex"`` (default) assigns one warp lane per active node —
         the classic vertex-balanced kernel whose divergence the model
-        was built to expose.  ``"edge"`` assigns one lane per gathered
-        edge record instead: warps of consecutive edge records, one
-        neighbor-loop step each, so divergence vanishes
+        was built to expose — and prices the sweep with
+        :func:`charge_vertex_sweeps`.  ``"edge"`` assigns one lane per
+        gathered edge record instead: warps of consecutive edge records,
+        one neighbor-loop step each, so divergence vanishes
         (``idle_lane_steps`` only from the ragged last warp) at the
         price of a per-record *source*-attribute read replacing the
         per-node source pass.  Schedules pick this via
@@ -366,89 +388,24 @@ def charge_sweep(
         raise SimulationError(
             f"unknown partition {partition!r}; choose 'vertex' or 'edge'"
         )
-    if active is not None:
-        active = np.asarray(active, dtype=np.int64)
-        if active.size and (active.min() < 0 or active.max() >= graph.num_nodes):
-            raise SimulationError("active node id out of range")
-    resident_mask = _checked_inputs(graph, device, resident_mask)
     if expansion is None:
+        if active is not None:
+            # checked before the gather indexes the offsets with them
+            active = np.asarray(active, dtype=np.int64)
+            _check_ids(graph, active)
         expansion = expand_rows(graph.offsets, graph.indices, active)
-    if active is None:
-        active = expansion.frontier
-
-    if active.size == 0:
-        return SweepCost()
-    line = device.line_words
-    if partition == "edge":
-        return _charge_sweep_edge(
+    if partition == "vertex":
+        return charge_vertex_sweeps(
             graph,
             device,
-            expansion,
+            (expansion,),
             resident_mask=resident_mask,
             all_shared=all_shared,
-        )
-
-    # This is the per-sweep hot path of the whole simulator: it runs once
-    # per frontier per solver iteration, usually on small actives where
-    # fixed numpy overhead dominates.  It therefore computes the warp
-    # schedule and divergence stats inline from the expansion's degrees
-    # and counts transactions with structural key spans instead of
-    # data-scanned ones — the packing changes, but any injective packing
-    # yields the identical distinct-segment count the composable pieces
-    # (`form_warps` + `expand_accesses` + `count_transactions`, kept for
-    # tests and external callers) produce.
-    ws = device.warp_size
-    count = active.size
-    num_warps = -(-count // ws)
-    degs = expansion.degs
-    warp_of_pos = np.arange(count, dtype=np.int64) // ws
-    warp_starts = np.arange(0, count, ws, dtype=np.int64)
-    warp_max = np.maximum.reduceat(degs, warp_starts)
-    lanes = np.full(num_warps, ws, dtype=np.int64)
-    lanes[-1] = count - warp_starts[-1]
-    busy = int(degs.sum())
-    serial = int(warp_max.sum())
-    idle = int((warp_max * lanes).sum()) - busy
-
-    # structural span bounds (no data scans); the guard mirrors
-    # memory._encode_keys' int64 overflow refusal
-    step_span = max(int(warp_max.max()), 1) if count else 1
-    edge_seg_span = graph.num_edges // line + 1
-    node_seg_span = graph.num_nodes // line + 1
-    if num_warps * step_span * max(edge_seg_span, node_seg_span) >= _INT64_MAX:
-        raise SimulationError("access space too large to encode in int64 keys")
-
-    if busy:
-        dst = expansion.e_dst
-        gid = np.repeat(warp_of_pos, degs) * step_span + expansion.step
-        # (1) reading the edges array itself
-        edge_t = _distinct_groups(gid, expansion.epos // line, edge_seg_span)
-        # (2) destination-attribute accesses, split by residency
-        dst_seg = dst // line
-        if all_shared:
-            attr_global_t = 0
-            attr_shared_t = _distinct_groups(gid, dst_seg, node_seg_span)
-        elif resident_mask is not None:
-            shared = resident_mask[dst]
-            glob = ~shared
-            attr_global_t = _distinct_groups(
-                gid[glob], dst_seg[glob], node_seg_span
-            )
-            attr_shared_t = _distinct_groups(
-                gid[shared], dst_seg[shared], node_seg_span
-            )
-        else:
-            attr_global_t = _distinct_groups(gid, dst_seg, node_seg_span)
-            attr_shared_t = 0
-    else:
-        edge_t = attr_global_t = attr_shared_t = 0
-
-    # (3) one source-attribute pass: lane p reads/writes attribute of its own
-    # node; coalesced iff active ids are clustered.
-    src_t = _distinct_groups(warp_of_pos, active // line, node_seg_span)
-    return _sweep_cost(
-        device, serial, busy, idle, edge_t, attr_global_t, attr_shared_t, src_t,
-        all_shared=all_shared,
+        )[0]
+    resident_mask = _checked_inputs(graph, device, resident_mask)
+    _check_ids(graph, expansion.frontier)
+    return _charge_sweep_edge(
+        graph, device, expansion, resident_mask=resident_mask, all_shared=all_shared
     )
 
 
@@ -494,24 +451,22 @@ def _charge_sweep_edge(
     idle = num_warps * ws - total
     gid = np.arange(total, dtype=np.int64) // ws
 
-    edge_t = _distinct_groups(gid, edge_pos // line, edge_seg_span)
-    dst_seg = dst // line
+    whole = (0, total)
+    edge_t = _region_distinct(gid * edge_seg_span + edge_pos // line, whole)[0]
+    attr_keys = gid * node_seg_span + dst // line
     if all_shared:
         attr_global_t = 0
-        attr_shared_t = _distinct_groups(gid, dst_seg, node_seg_span)
+        attr_shared_t = _region_distinct(attr_keys, whole)[0]
     elif resident_mask is not None:
         shared = resident_mask[dst]
-        glob = ~shared
-        attr_global_t = _distinct_groups(gid[glob], dst_seg[glob], node_seg_span)
-        attr_shared_t = _distinct_groups(
-            gid[shared], dst_seg[shared], node_seg_span
-        )
+        attr_global_t = _region_distinct(attr_keys, whole, ~shared)[0]
+        attr_shared_t = _region_distinct(attr_keys, whole, shared)[0]
     else:
-        attr_global_t = _distinct_groups(gid, dst_seg, node_seg_span)
+        attr_global_t = _region_distinct(attr_keys, whole)[0]
         attr_shared_t = 0
 
     # per-record source-attribute read, coalesced within each edge-warp
-    src_t = _distinct_groups(gid, expansion.e_src // line, node_seg_span)
+    src_t = _region_distinct(gid * node_seg_span + expansion.e_src // line, whole)[0]
     return _sweep_cost(
         device, serial, busy, idle, edge_t, attr_global_t, attr_shared_t, src_t,
         all_shared=all_shared,

@@ -6,7 +6,11 @@ call :meth:`ExecutionContext.charge` once per kernel sweep (or
 model accounts what that sweep *would* cost on the modeled GPU.  The
 context is the only place a sweep is priced (:meth:`~ExecutionContext.price`,
 :meth:`~ExecutionContext.price_batch`) and recorded
-(:meth:`~ExecutionContext.record`).  It owns:
+(:meth:`~ExecutionContext.record`).  A vertex-partitioned sweep is
+priced by the cost model's one vertex pricer,
+:func:`~repro.gpusim.costmodel.charge_vertex_sweeps`, whether it comes
+alone (through :func:`~repro.gpusim.costmodel.charge_sweep`) or in a
+batch.  It owns:
 
 * the **processing order** — how node ids map to threads (Graffix's §4
   bucket sort changes this; everything else uses id order);
@@ -33,7 +37,7 @@ from ..errors import SimulationError
 from ..graphs.csr import CSRGraph
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .costmodel import SweepCost, charge_sweep, charge_sweeps_batched
+from .costmodel import SweepCost, charge_sweep, charge_vertex_sweeps
 from .device import DeviceConfig, K40C
 from .metrics import SimMetrics
 
@@ -43,9 +47,8 @@ __all__ = ["ExecutionContext"]
 class ExecutionContext:
     """A simulated kernel stream bound to one graph and one device."""
 
-    #: edge count at which :meth:`price_batch` prices a sweep on its own
-    #: instead of folding it into a concatenated batch
-    BATCH_EAGER_EDGES = 4096
+    #: edge records per cost-model call in :meth:`price_batch`
+    CHUNK_RECORDS = 32768
 
     def __init__(
         self,
@@ -62,9 +65,18 @@ class ExecutionContext:
         if order is None:
             self._order = np.arange(n, dtype=np.int64)
         else:
-            order = np.asarray(order, dtype=np.int64)
+            order = np.asarray(order)
+            if order.dtype.kind not in "iu":
+                raise SimulationError(
+                    f"processing order must hold integer node ids, not {order.dtype}"
+                )
+            order = order.astype(np.int64, copy=False)
             if order.size != n:
                 raise SimulationError("processing order must list every node once")
+            if n and (order.min() < 0 or order.max() >= n):
+                raise SimulationError(
+                    f"processing order names a node id outside [0, {n})"
+                )
             seen = np.zeros(n, dtype=bool)
             seen[order] = True
             if not seen.all():
@@ -210,55 +222,40 @@ class ExecutionContext:
     def price_batch(self, sweeps) -> list[SweepCost]:
         """The costs of many sweeps from their precomputed expansions.
 
-        ``sweeps`` is a sequence of
+        ``sweeps`` is a sequence of vertex-partitioned
         :class:`~repro.perf.gather.SweepExpansion` over ``self.graph``,
         one per sweep, each already in processing order.  Returns
-        exactly the costs :meth:`price` would return sweep by sweep, but
-        runs of small sweeps are priced in one vectorized
-        :func:`~repro.gpusim.costmodel.charge_sweeps_batched` pass, which
-        is what keeps accounting cheap for level-synchronous solvers.
+        exactly the costs :meth:`price` would return sweep by sweep, by
+        two rules:
 
-        With a non-identity processing order the expansions don't match
-        the warp assignment, so every sweep goes through :meth:`price`.
-        The batched pricer models vertex-balanced warps only; an
-        edge-balanced sweep is charged on its own through :meth:`charge`.
+        * with a non-identity processing order the expansions don't
+          match the warp assignment, so every sweep goes through
+          :meth:`price`;
+        * otherwise the sweeps go to the one vertex pricer,
+          :func:`~repro.gpusim.costmodel.charge_vertex_sweeps`, in
+          chunks of about ``CHUNK_RECORDS`` edge records.  The pricer's
+          dominant step is one key sort over every record in the call,
+          and chunks that size keep it in cache instead of going
+          superlinear.
 
-        Sweeps at or above ``BATCH_EAGER_EDGES`` edges also go through
-        :meth:`price`: concatenating a huge expansion costs more than the
-        per-call overhead the batch saves.  The small sweeps are priced
-        together in chunks of about ``8 * BATCH_EAGER_EDGES`` records,
-        because the batched pricer's dominant step is one key sort over
-        every record in the call and chunks that size keep the sort in
-        cache instead of going superlinear.
+        An edge-balanced sweep is charged on its own through
+        :meth:`charge`.
         """
-        eager_edges = self.BATCH_EAGER_EDGES
-        costs: list = [None] * len(sweeps)
-        run: list[int] = []
-        run_records = 0
-
-        def price_run() -> None:
-            priced = charge_sweeps_batched(
-                self.graph,
-                self.device,
-                [sweeps[k] for k in run],
-                resident_mask=self.resident_mask,
-            )
-            for k, cost in zip(run, priced):
-                costs[k] = cost
-            run.clear()
-
+        if not self._identity_order:
+            return [self.price(exp.frontier, expansion=exp) for exp in sweeps]
+        costs: list[SweepCost] = []
+        chunk: list = []
+        records = 0
+        last = len(sweeps) - 1
         for k, exp in enumerate(sweeps):
-            records = exp.epos.size
-            if not self._identity_order or records >= eager_edges:
-                costs[k] = self.price(exp.frontier, expansion=exp)
-                continue
-            run.append(k)
-            run_records += records
-            if run_records >= 8 * eager_edges:
-                price_run()
-                run_records = 0
-        if run:
-            price_run()
+            chunk.append(exp)
+            records += exp.epos.size
+            if records >= self.CHUNK_RECORDS or k == last:
+                costs += charge_vertex_sweeps(
+                    self.graph, self.device, chunk, resident_mask=self.resident_mask
+                )
+                chunk = []
+                records = 0
         return costs
 
     def record(self, costs) -> None:

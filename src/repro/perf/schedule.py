@@ -118,6 +118,7 @@ class Schedule:
         graph,
         frontier: np.ndarray | None,
         *,
+        frontier_edges: int | None = None,
         unexplored_edges: int | None = None,
         prev: SweepDecision | None = None,
     ) -> SweepDecision:
@@ -126,15 +127,20 @@ class Schedule:
         ``frontier`` is an array of distinct node ids, or ``None`` for
         the full sweep over every node; its size and forward out-edge
         count over ``graph`` (a CSR graph) are the stats :meth:`decide`
-        is called with.  :meth:`repro.algorithms.common.Runner.advance`
-        and BC's lanes decide through this one call.
+        is called with.  A caller that already summed the frontier's
+        out-degrees (to maintain ``unexplored_edges``) hands the sum in
+        as ``frontier_edges`` and the rows are not summed again.
+        :meth:`repro.algorithms.common.Runner.advance` and BC's lanes
+        decide through this one call.
         """
         if frontier is None:
             size, fedges = graph.num_nodes, graph.num_edges
         else:
-            offsets = graph.offsets
             size = int(frontier.size)
-            fedges = int((offsets[frontier + 1] - offsets[frontier]).sum())
+            fedges = frontier_edges
+            if fedges is None:
+                offsets = graph.offsets
+                fedges = int((offsets[frontier + 1] - offsets[frontier]).sum())
         return self.decide(
             frontier_size=size,
             frontier_edges=fedges,

@@ -9,7 +9,7 @@ from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
 from repro.core.serialize import load_plan, save_plan
-from repro.errors import TransformError
+from repro.errors import SimulationError, TransformError
 
 
 @pytest.mark.parametrize(
@@ -93,3 +93,30 @@ def test_lift_lower_after_reload(rmat_small, tmp_path):
     loaded = load_plan(p)
     vals = np.arange(rmat_small.num_nodes, dtype=np.float64)
     assert np.array_equal(loaded.lower(loaded.lift(vals)), vals)
+
+
+def _tamper_order(order: np.ndarray, how: str) -> np.ndarray:
+    order = order.copy()
+    if how == "negative":
+        order[0] -= order.size  # wraps onto the same id if cast blindly
+    elif how == "too-large":
+        order[0] = order.size
+    else:  # float ids would truncate onto the same permutation
+        return order.astype(np.float64) + 0.25
+    return order
+
+
+@pytest.mark.parametrize("how", ["negative", "too-large", "float"])
+def test_tampered_order_rejected_at_run(rmat_small, how, tmp_path):
+    """A saved divergence plan whose ``order`` was edited on disk must
+    fail with a typed error when it runs, not wrap, index out of bounds
+    or truncate into a different kernel."""
+    p = tmp_path / "plan.npz"
+    save_plan(build_plan(rmat_small, "divergence"), p)
+    with np.load(p) as data:
+        arrays = dict(data)
+    arrays["order"] = _tamper_order(arrays["order"], how)
+    np.savez_compressed(p, **arrays)
+    loaded = load_plan(p)
+    with pytest.raises(SimulationError, match="processing order"):
+        sssp(loaded, 0)

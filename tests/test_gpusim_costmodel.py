@@ -10,7 +10,7 @@ from repro.graphs.csr import CSRGraph
 from repro.gpusim.costmodel import (
     SweepCost,
     charge_sweep,
-    charge_sweeps_batched,
+    charge_vertex_sweeps,
     expand_accesses,
 )
 from repro.gpusim.device import K40C, DeviceConfig
@@ -160,58 +160,14 @@ class TestChargeSweep:
         assert near.attr_global_transactions < far.attr_global_transactions
 
 
-class TestBatchedCharging:
-    """charge_sweeps_batched must reproduce the plain per-sweep costs
-    exactly — it is a host-side optimization, not a model change."""
+class TestChargeVertexSweeps:
+    """Input handling of the one vertex pricer; its costs are checked
+    against the independent reference in ``TestPricersMatchReference``."""
 
-    def _random_sweeps(self, graph, rng, k):
-        idx = graph.indices.astype(np.int64)
-        sweeps = []
-        for _ in range(k):
-            size = int(rng.integers(1, graph.num_nodes))
-            frontier = np.sort(
-                rng.choice(graph.num_nodes, size=size, replace=False)
-            ).astype(np.int64)
-            sweeps.append(expand_frontier(graph.offsets, idx, frontier))
-        return sweeps
+    def test_empty_list(self, rmat_small):
+        assert charge_vertex_sweeps(rmat_small, K40C, []) == []
 
-    def test_batched_matches_per_sweep(self, rmat_small):
-        rng = np.random.default_rng(6)
-        sweeps = self._random_sweeps(rmat_small, rng, 10)
-        batched = charge_sweeps_batched(rmat_small, K40C, sweeps)
-        for exp, got in zip(sweeps, batched):
-            assert got == charge_sweep(rmat_small, K40C, exp.frontier)
-
-    def test_batched_with_resident_mask(self, rmat_small):
-        rng = np.random.default_rng(7)
-        sweeps = self._random_sweeps(rmat_small, rng, 6)
-        mask = rng.random(rmat_small.num_nodes) < 0.4
-        batched = charge_sweeps_batched(
-            rmat_small, K40C, sweeps, resident_mask=mask
-        )
-        for exp, got in zip(sweeps, batched):
-            assert got == charge_sweep(
-                rmat_small, K40C, exp.frontier, resident_mask=mask
-            )
-
-    def test_batched_keeps_empty_sweeps_in_place(self, rmat_small):
-        idx = rmat_small.indices.astype(np.int64)
-        empty = expand_frontier(
-            rmat_small.offsets, idx, np.empty(0, dtype=np.int64)
-        )
-        full = expand_frontier(
-            rmat_small.offsets, idx, np.arange(10, dtype=np.int64)
-        )
-        costs = charge_sweeps_batched(rmat_small, K40C, [empty, full, empty])
-        assert costs[0] == SweepCost() and costs[2] == SweepCost()
-        assert costs[1] == charge_sweep(
-            rmat_small, K40C, np.arange(10, dtype=np.int64)
-        )
-
-    def test_batched_empty_list(self, rmat_small):
-        assert charge_sweeps_batched(rmat_small, K40C, []) == []
-
-    def test_batched_rejects_bad_ids(self, tiny_graph):
+    def test_rejects_bad_ids(self, tiny_graph):
         bogus = expand_frontier(
             tiny_graph.offsets,
             tiny_graph.indices.astype(np.int64),
@@ -219,17 +175,22 @@ class TestBatchedCharging:
         )
         bogus.frontier[0] = 999
         with pytest.raises(SimulationError):
-            charge_sweeps_batched(tiny_graph, K40C, [bogus])
+            charge_vertex_sweeps(tiny_graph, K40C, [bogus])
 
 
-def _reference_cost(device, serial, busy, idle, edge_t, glob_t, shared_t, src_t):
-    """The cycle formula of the model's docstring, term by term."""
+def _reference_cost(
+    device, serial, busy, idle, edge_t, glob_t, shared_t, src_t, all_shared=False
+):
+    """The cycle formula of the model's docstring, term by term; an
+    ``all_shared`` sweep reads edges and sources at shared latency."""
+    edge_latency = device.shared_latency if all_shared else device.edge_latency
+    src_latency = device.shared_latency if all_shared else device.global_latency
     cycles = (
         serial * device.issue_cycles
-        + edge_t * device.edge_latency
+        + edge_t * edge_latency
         + glob_t * device.global_latency
         + shared_t * device.shared_latency
-        + src_t * device.global_latency
+        + src_t * src_latency
         + busy * device.atomic_cycles
     )
     return SweepCost(
@@ -245,14 +206,19 @@ def _attr_transactions(warp, step, dst, line, mask):
     return glob.transactions, shared.transactions
 
 
-def _vertex_reference(graph, device, active, mask):
+def _vertex_reference(graph, device, active, mask, all_shared=False):
     """One lane per active node, priced with the composable pieces."""
+    if active.size == 0:
+        return SweepCost()
     ws, line = device.warp_size, device.line_words
     schedule = form_warps(active, ws)
     degs = graph.offsets[active + 1] - graph.offsets[active]
     div = divergence_stats(schedule, degs, ws)
     warp, step, epos, dst = expand_accesses(graph, active, ws)
-    glob_t, shared_t = _attr_transactions(warp, step, dst, line, mask)
+    if all_shared:
+        glob_t, shared_t = 0, _attr_transactions(warp, step, dst, line, None)[0]
+    else:
+        glob_t, shared_t = _attr_transactions(warp, step, dst, line, mask)
     src = count_transactions(
         schedule.warp_of_position, np.zeros(active.size, np.int64), active, line
     )
@@ -265,6 +231,7 @@ def _vertex_reference(graph, device, active, mask):
         glob_t,
         shared_t,
         src.transactions,
+        all_shared,
     )
 
 
@@ -336,3 +303,36 @@ class TestPricersMatchReference:
             graph, K40C, active, resident_mask=mask, partition=partition
         )
         assert got == reference(graph, K40C, everyone, mask)
+
+    @pytest.mark.parametrize(
+        "access", ["plain", "resident", "all_shared", "resident+all_shared"]
+    )
+    @pytest.mark.parametrize("name", PAPER_GRAPH_NAMES)
+    def test_one_call_prices_a_run(self, small_suite, name, access):
+        """One ``charge_vertex_sweeps`` call over K random sweeps — empty
+        frontiers between live ones, a sweep of zero-degree nodes only,
+        frontiers mixing zero-degree nodes in, id-sorted and shuffled —
+        prices each sweep exactly as the reference prices it alone."""
+        graph = small_suite[name]
+        n = graph.num_nodes
+        rng = np.random.default_rng(100 + PAPER_GRAPH_NAMES.index(name))
+        mask = rng.random(n) < 0.3 if "resident" in access else None
+        all_shared = "all_shared" in access
+        zero = np.flatnonzero(graph.out_degrees() == 0).astype(np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        fronts = [empty]
+        for k in range(6):
+            f = rng.choice(n, size=int(rng.integers(1, min(n, 300))), replace=False)
+            f = np.union1d(f, zero[:5]) if k % 2 else np.sort(f)
+            if k == 3:
+                rng.shuffle(f)
+            fronts += [f.astype(np.int64), empty]
+        fronts.append(zero[:40])
+        idx = graph.indices.astype(np.int64)
+        sweeps = [expand_frontier(graph.offsets, idx, f) for f in fronts]
+        got = charge_vertex_sweeps(
+            graph, K40C, sweeps, resident_mask=mask, all_shared=all_shared
+        )
+        assert got == [
+            _vertex_reference(graph, K40C, f, mask, all_shared) for f in fronts
+        ]

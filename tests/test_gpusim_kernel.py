@@ -27,10 +27,17 @@ class TestExecutionContext:
         assert list(ctx.ordered(active)) == [19, 0]
 
     def test_order_must_be_permutation(self, tiny_graph):
-        with pytest.raises(SimulationError):
-            ExecutionContext(tiny_graph, order=np.zeros(tiny_graph.num_nodes, dtype=int))
-        with pytest.raises(SimulationError):
-            ExecutionContext(tiny_graph, order=np.arange(3))
+        n = tiny_graph.num_nodes
+        for order in (
+            np.zeros(n, dtype=int),
+            np.arange(3),
+            np.r_[-n, np.arange(1, n)],  # -n would wrap onto node 0
+            np.r_[np.arange(n - 1), n],  # one past the last node
+            np.arange(n) + 0.25,  # would truncate onto the identity
+            np.ones(n, dtype=bool),
+        ):
+            with pytest.raises(SimulationError, match="processing order"):
+                ExecutionContext(tiny_graph, order=order)
 
     def test_ordered_with_bool_mask(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph)
@@ -112,8 +119,8 @@ class TestSimMetrics:
 
 class TestChargeBatch:
     """charge_batch must leave the ledger exactly as per-sweep charge()
-    calls would, for every routing path (batched, eager-large, and the
-    non-identity-order fallback)."""
+    calls would, however the sweeps are chunked, and under the
+    non-identity-order fallback."""
 
     def _sweeps(self, graph, rng, k):
         idx = graph.indices.astype(np.int64)
@@ -139,10 +146,10 @@ class TestChargeBatch:
         rng = np.random.default_rng(21)
         self._assert_same_ledger(rmat_small, self._sweeps(rmat_small, rng, 7))
 
-    def test_large_sweeps_routed_eagerly(self, rmat_small, monkeypatch):
-        # force every sweep over the eager threshold: the segmented path
-        # must still produce the identical ledger
-        monkeypatch.setattr(ExecutionContext, "BATCH_EAGER_EDGES", 1)
+    def test_one_record_chunks(self, rmat_small, monkeypatch):
+        # every non-empty sweep closes its own chunk: the chunk
+        # boundaries must still produce the identical ledger
+        monkeypatch.setattr(ExecutionContext, "CHUNK_RECORDS", 1)
         rng = np.random.default_rng(22)
         self._assert_same_ledger(rmat_small, self._sweeps(rmat_small, rng, 5))
 

@@ -83,14 +83,14 @@ class TestBatchedEquivalence:
         assert check_bc_lanes(road, srcs, device=DEV) == []
 
 
-class TestEagerRoutedLanes:
-    """With every non-empty sweep over ``BATCH_EAGER_EDGES`` the lane
-    path prices through the scalar arm of ``ExecutionContext.price_batch``;
-    lanes must still match their looped runs exactly."""
+class TestOneRecordChunkLanes:
+    """With ``CHUNK_RECORDS`` at one record every non-empty sweep closes
+    its own chunk of ``ExecutionContext.price_batch``; lanes must still
+    match their looped runs exactly."""
 
     @pytest.fixture(autouse=True)
-    def _force_eager(self, monkeypatch):
-        monkeypatch.setattr(ExecutionContext, "BATCH_EAGER_EDGES", 1)
+    def _one_record_chunks(self, monkeypatch):
+        monkeypatch.setattr(ExecutionContext, "CHUNK_RECORDS", 1)
 
     @pytest.mark.parametrize("technique", ["exact", "divergence"])
     @pytest.mark.parametrize("schedule", [None, "direction-optimizing"])

@@ -139,6 +139,43 @@ class TestPolicies:
             ),
         ]
 
+    def test_step_takes_the_callers_frontier_edges(self, rmat_small):
+        """A count the caller already holds reaches ``decide`` as is:
+        ``step`` does not sum the frontier's rows again."""
+        seen = []
+
+        class Recording(Schedule):
+            def decide(self, **stats):
+                seen.append(stats["frontier_edges"])
+                return FIXED_PUSH.decide()
+
+        frontier = np.array([0, 3, 5], dtype=np.int64)
+        Recording().step(rmat_small, frontier, frontier_edges=123)
+        assert seen == [123]
+
+    @pytest.mark.parametrize("kernel", ["bfs", "bc"])
+    def test_solvers_hand_step_the_true_frontier_edges(self, rmat_small, kernel):
+        """BFS and BC sum each scheduled frontier's out-degrees once and
+        hand that sum to ``step``; it must be the frontier's real
+        out-edge count on every decision of both BC passes."""
+        degs = rmat_small.out_degrees()
+        seen = []
+
+        class Checking(DirectionOptimizing):
+            def step(self, graph, frontier, *, frontier_edges=None, **kw):
+                assert frontier_edges is not None
+                seen.append(frontier_edges == int(degs[frontier].sum()))
+                return super().step(
+                    graph, frontier, frontier_edges=frontier_edges, **kw
+                )
+
+        src = int(np.argmax(degs))
+        if kernel == "bfs":
+            bfs(rmat_small, src, schedule=Checking())
+        else:
+            betweenness_centrality(rmat_small, sources=[src, 0], schedule=Checking())
+        assert seen and all(seen)
+
     def test_direction_optimizing_hysteresis(self):
         do = DirectionOptimizing(alpha=15.0, beta=18.0)
         n, m = 1800, 20_000
