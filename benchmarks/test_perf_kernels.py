@@ -1,7 +1,8 @@
 """Host-kernel wall-clock ratios: stacked lanes and direction-optimizing.
 
 Times three comparisons per suite graph, best of 3 each, and writes them
-as one ratio table to ``benchmarks/results/perf_kernels.txt``:
+as one ratio table to ``benchmarks/host-results/perf_kernels.txt``, an
+untracked path (the figures are this host's wall-clock):
 
 * ``bc@stacked`` — BC's stacked S-source sweep (S = 8) against the same
   sources run as one single-source call each;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +42,9 @@ BC_SOURCES = 4
 MIN_BC_STACKED_RATIO = 1.2
 
 REPEATS = 3
+
+#: where the table goes; ignored by git, so a run leaves the tree clean
+TABLE_PATH = Path(__file__).parent / "host-results" / "perf_kernels.txt"
 
 
 def _best_of(fn) -> float:
@@ -98,21 +103,21 @@ def _measure(scale: str) -> list[dict]:
     return rows
 
 
-def test_perf_kernels(benchmark, emit):
+def test_perf_kernels(benchmark):
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
     rows = run_once(benchmark, lambda: _measure(scale))
-    emit(
-        "perf_kernels",
-        format_table(
-            rows,
-            ["comparison", "graph", "baseline_s", "candidate_s", "ratio"],
-            title=(
-                f"Kernel wall-clock ratios, best of {REPEATS} (scale={scale}, "
-                f"{LANES} lanes); ratio = baseline_s / candidate_s"
-            ),
-            floatfmt="{:,.4f}",
+    table = format_table(
+        rows,
+        ["comparison", "graph", "baseline_s", "candidate_s", "ratio"],
+        title=(
+            f"Kernel wall-clock ratios, best of {REPEATS} (scale={scale}, "
+            f"{LANES} lanes); ratio = baseline_s / candidate_s"
         ),
+        floatfmt="{:,.4f}",
     )
+    print("\n" + table)
+    TABLE_PATH.parent.mkdir(exist_ok=True)
+    TABLE_PATH.write_text(table + "\n")
 
     best = max(r["ratio"] for r in rows if r["comparison"] == "bc@stacked")
     assert best >= MIN_BC_STACKED_RATIO, (

@@ -20,7 +20,7 @@ Spec schema::
     requests: 400              # total requests across clients
     seed: 12345                # request-stream RNG seed
     deadline_ms: 2000          # per-request budget
-    verify: true               # check answers against a reference run
+    verify: true               # compare answers with exact-plan runs
     queries:
       - {op: sssp,    graph: rmat,     ratio: 0.5}
       - {op: sssp,    graph: rmat,     ratio: 0.0, source: 0}  # pinned
@@ -72,12 +72,16 @@ server-side view, so admission waits and shed requests the client never
 timed still count.  Against an external ``connect:`` server the
 snapshot is cumulative since that server started, not just this run.
 
-With ``verify: true`` the loadgen rebuilds the server's (deterministic)
-graph suite and checks every completed, *non-degraded* ``ok`` answer
-bit-for-bit against an exact-plan reference run; degraded answers are
-only required to carry the footnote.  This is the chaos-mode oracle:
-under injected faults the server may shed, time out, error, or degrade
-— it may never return a wrong answer silently.
+With ``verify: true`` the loadgen rebuilds the server's graph suite
+from the spec's ``server:`` scale and seed (it refuses to start when the
+server's graphs differ) and compares every completed, *non-degraded*
+``ok`` answer whole with :meth:`ExactAnswers.expected`: each field,
+``iterations`` and ``technique: exact`` included, must be ``==`` —
+only the ``batched``/``batch_lanes`` footnotes of a shared solve are
+left out.  Degraded answers are only required to carry the footnote.
+This is the chaos-mode oracle: under injected faults the server may
+shed, time out, error, or degrade — it may never return a wrong answer
+silently.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ from .protocol import ServeClient
 from .server import ReproServer
 from .service import ServeConfig
 
-__all__ = ["load_spec", "run_spec", "evaluate_kpis", "main"]
+__all__ = ["ExactAnswers", "load_spec", "run_spec", "evaluate_kpis", "main"]
 
 logger = get_logger("serve.loadgen")
 
@@ -146,80 +150,63 @@ def _server_config(spec: dict, *, allow_chaos: bool) -> ServeConfig:
 
 
 # ---------------------------------------------------------------------------
-# the reference oracle
+# the exact answers
 # ---------------------------------------------------------------------------
-class _Reference:
-    """Lazily computed exact-plan answers keyed like the server's ops.
+class ExactAnswers:
+    """The whole result a correct, non-degraded server sends per request.
 
     The suite is deterministic in (scale, seed), so rebuilding it client-
-    side yields bit-identical graphs; exact-plan runs of the same
-    algorithm code then yield bit-identical values to the server's
-    non-degraded answers.
+    side yields bit-identical graphs; exact-plan runs of the same solvers
+    then yield the server's answers bit for bit.
     """
 
     def __init__(self, scale: str, seed: int):
         self.graphs = dict(paper_suite(scale, seed=seed))
-        self._plans: dict[str, object] = {}
+        self.plans = {name: build_plan(g, "exact") for name, g in self.graphs.items()}
         self._memo: dict[tuple, object] = {}
-        self._lock = threading.Lock()
 
-    def _plan(self, graph: str):
-        with self._lock:
-            if graph not in self._plans:
-                self._plans[graph] = build_plan(self.graphs[graph], "exact")
-            return self._plans[graph]
+    def _solve(self, key: tuple, compute):
+        # no lock: client threads that race on a key compute the same
+        # deterministic value, so either store is correct
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
-    def _get(self, key: tuple, compute):
-        with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        value = compute()
-        with self._lock:
-            self._memo[key] = value
-        return value
-
-    def check(self, req: dict, result: dict) -> bool:
-        """True iff ``result`` matches the exact reference for ``req``."""
+    def expected(self, req: dict) -> dict:
+        """The result for any request :func:`run_spec` issues."""
         op, graph = req["op"], req["graph"]
+        plan = self.plans[graph]
         if op == "sssp":
-            dist = self._get(
-                (op, graph, req["source"]),
-                lambda: sssp(self._plan(graph), req["source"]).values,
-            )
-            if "target" in req:
-                ref = float(dist[req["target"]])
-                if not np.isfinite(ref):
-                    return result.get("distance") is None
-                got = result.get("distance")
-                return got is not None and _close(got, ref)
-            finite = np.isfinite(dist)
-            return result.get("reached") == int(finite.sum()) and _close(
-                result.get("total_distance", np.nan), float(dist[finite].sum())
-            )
-        if op == "pr_topk":
-            tol = float(req.get("tol", 1e-8))
-            ranks = self._get(
-                (op, graph, tol), lambda: pagerank(self._plan(graph), tol=tol).values
-            )
-            for node, rank in result.get("top", []):
-                if not _close(rank, float(ranks[node])):
-                    return False
-            return True
-        if op == "bc_node":
-            num_sources = int(req.get("num_sources", 8))
-            seed = int(req.get("seed", 0))
-            scores = self._get(
+            res = self._solve((op, graph, req["source"]), lambda: sssp(plan, req["source"]))
+            d = float(res.values[req["target"]])
+            reachable = bool(np.isfinite(d))
+            out = {"source": req["source"], "iterations": int(res.iterations),
+                   "target": req["target"], "reachable": reachable,
+                   "distance": d if reachable else None}
+        elif op == "pr_topk":
+            res = self._solve((op, graph), lambda: pagerank(plan))
+            ranks = res.values
+            # the server's order: rank descending, node id ascending on ties
+            order = np.lexsort((np.arange(ranks.size), -ranks))[: req["k"]]
+            out = {"k": int(order.size), "iterations": int(res.iterations),
+                   "top": [[int(i), float(ranks[i])] for i in order]}
+        else:
+            num_sources, seed = req["num_sources"], req["seed"]
+            res = self._solve(
                 (op, graph, num_sources, seed),
-                lambda: betweenness_centrality(
-                    self._plan(graph), num_sources=num_sources, seed=seed
-                ).values,
+                lambda: betweenness_centrality(plan, num_sources=num_sources, seed=seed),
             )
-            return _close(result.get("score", np.nan), float(scores[req["node"]]))
-        return True  # pragma: no cover - spec validation rejects other ops
+            out = {"node": req["node"], "num_sources": num_sources, "seed": seed,
+                   "score": float(res.values[req["node"]])}
+        out["technique"] = "exact"
+        return out
 
-
-def _close(a: float, b: float) -> bool:
-    return bool(np.isclose(float(a), float(b), rtol=1e-9, atol=1e-12))
+    def matches(self, req: dict, result: dict | None) -> bool:
+        """True iff ``result`` equals ``expected(req)``, aside from the
+        ``batched``/``batch_lanes`` footnotes of a shared solve."""
+        footnotes = ("batched", "batch_lanes")
+        got = {k: v for k, v in (result or {}).items() if k not in footnotes}
+        return got == self.expected(req)
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +256,29 @@ def _drive(spec: dict, *, host: str, port: int, server: ReproServer | None) -> d
         info = admin.request({"op": "graphs"})
         if info["status"] != "ok":
             raise ServeError(f"graphs op failed: {info}")
-        graph_nodes = {name: g["nodes"] for name, g in info["result"].items()}
+        served = info["result"]
     for q in queries:
-        if q["graph"] not in graph_nodes:
+        if q["graph"] not in served:
             raise ServeError(
                 f"spec queries graph {q['graph']!r} not loaded on the server"
             )
 
-    reference = None
+    answers = None
     if spec.get("verify", True):
-        srv_spec = dict(spec.get("server") or {})
-        reference = _Reference(
-            srv_spec.get("scale", "tiny"), int(srv_spec.get("seed", 7))
-        )
+        srv_spec = spec.get("server") or {}
+        scale, seed = srv_spec.get("scale", "tiny"), int(srv_spec.get("seed", 7))
+        answers = ExactAnswers(scale, seed)
+        # a server built at another scale or seed would fail every check
+        for name in {q["graph"] for q in queries}:
+            g = answers.graphs.get(name)
+            want = None if g is None else (g.num_nodes, g.num_edges)
+            got = (served[name]["nodes"], served[name]["edges"])
+            if got != want:
+                raise ServeError(
+                    f"server's {name!r} has (nodes, edges) {got}, but the "
+                    f"spec's server: block (scale {scale}, seed {seed}) "
+                    f"builds {want}; set it to the live server's scale and seed"
+                )
 
     issued = [0]
     issued_lock = threading.Lock()
@@ -299,7 +296,7 @@ def _drive(spec: dict, *, host: str, port: int, server: ReproServer | None) -> d
             "graph": q["graph"],
             "deadline_ms": deadline_ms,
         }
-        n = graph_nodes[q["graph"]]
+        n = served[q["graph"]]["nodes"]
         if q["op"] == "sssp":
             # a pinned source: makes every client hit the same batch key
             # (the batching-window burst specs); targets stay random —
@@ -343,11 +340,11 @@ def _drive(spec: dict, *, host: str, port: int, server: ReproServer | None) -> d
                     "phase": phase[0],
                 }
                 if (
-                    reference is not None
+                    answers is not None
                     and rec["status"] == "ok"
                     and not rec["degraded"]
                 ):
-                    rec["correct"] = reference.check(req, resp.get("result", {}))
+                    rec["correct"] = answers.matches(req, resp.get("result"))
                 with records_lock:
                     records.append(rec)
 

@@ -27,7 +27,7 @@ import pytest
 from digests import golden_fixture, metrics_digest, record_main, sha256
 
 from repro.algorithms.bc import betweenness_centrality
-from repro.baselines import tigr
+from repro.baselines import gunrock, tigr
 from repro.core.pipeline import build_plan
 from repro.graphs.generators import PAPER_GRAPH_NAMES, paper_suite
 
@@ -89,6 +89,24 @@ def test_golden_covers_every_cell(golden):
 def test_bc_matches_golden(golden, suite, name, technique, mode):
     got = _digest(_run(suite[name], technique, mode))
     assert got == golden[_key(name, technique, mode)]
+
+
+#: Gunrock's ``schedule`` argument -> the mode cell that pins it
+GUNROCK_MODES = {None: "inner", "pull": "pull", "direction-optimizing": "diropt"}
+
+
+@pytest.mark.parametrize("schedule,mode", list(GUNROCK_MODES.items()))
+def test_gunrock_bc_matches_golden(golden, suite, schedule, mode):
+    """Gunrock's BC is the inner-parallel engine under a schedule: it
+    must reproduce the committed cells of that schedule bit for bit."""
+    for name in PAPER_GRAPH_NAMES:
+        for technique in TECHNIQUES:
+            graph = suite[name]
+            target = graph if technique == "exact" else build_plan(graph, technique)
+            res = gunrock.run(
+                "bc", target, num_bc_sources=NUM_SOURCES, seed=SEED, schedule=schedule
+            )
+            assert _digest(res) == golden[_key(name, technique, mode)], (name, technique)
 
 
 def _table() -> dict:

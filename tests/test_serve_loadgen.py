@@ -1,16 +1,21 @@
-"""The load generator: spec parsing, KPI gating, the reference oracle,
+"""The load generator: spec parsing, KPI gating, the exact-answer check,
 and a small end-to-end run against an in-process server."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 
+from repro.algorithms.pagerank import pagerank
 from repro.errors import ServeError
 from repro.serve import loadgen
-from repro.serve.loadgen import _Reference, evaluate_kpis, load_spec, run_spec
+from repro.serve.deadline import Deadline
+from repro.serve.loadgen import ExactAnswers, evaluate_kpis, load_spec, run_spec
+from repro.serve.server import ReproServer
+from repro.serve.service import GraphService, ServeConfig
 
 
 def write_spec(tmp_path, spec: dict):
@@ -99,47 +104,80 @@ class TestKpis:
             evaluate_kpis([clause], {})
 
 
-class TestReference:
-    def test_accepts_correct_sssp_answer(self, suite_tiny):
-        from repro.algorithms.sssp import sssp
-        from repro.core.pipeline import build_plan
-        import numpy as np
+class TestExactAnswers:
+    """A non-degraded answer counts as correct only when it is whole and
+    exact: the real server's answer passes, every tampered copy fails."""
 
-        ref = _Reference("tiny", 7)
-        dist = sssp(build_plan(suite_tiny["rmat"], "exact"), 0).values
-        finite = np.isfinite(dist)
-        req = {"op": "sssp", "graph": "rmat", "source": 0}
-        good = {
-            "reached": int(finite.sum()),
-            "total_distance": float(dist[finite].sum()),
-        }
-        assert ref.check(req, good)
-        assert not ref.check(req, dict(good, total_distance=good["total_distance"] + 1))
-
-    def test_rejects_wrong_target_distance(self):
-        ref = _Reference("tiny", 7)
-        req = {"op": "sssp", "graph": "rmat", "source": 0, "target": 0}
-        assert ref.check(req, {"distance": 0.0})
-        assert not ref.check(req, {"distance": 123.456})
-
-    def test_rejects_wrong_pagerank(self):
-        ref = _Reference("tiny", 7)
-        req = {"op": "pr_topk", "graph": "rmat", "k": 3}
-        assert not ref.check(req, {"top": [[0, 0.999]]})
-
-    def test_accepts_correct_bc(self):
-        from repro.algorithms.bc import betweenness_centrality
-        from repro.core.pipeline import build_plan
-
-        ref = _Reference("tiny", 7)
-        plan = build_plan(ref.graphs["rmat"], "exact")
-        scores = betweenness_centrality(plan, num_sources=2, seed=0).values
-        req = {
-            "op": "bc_node", "graph": "rmat", "node": 5,
+    REQUESTS = {
+        "sssp": {"op": "sssp", "graph": "rmat", "source": 1, "target": 5},
+        "pr_topk": {"op": "pr_topk", "graph": "rmat", "k": 5},
+        "bc_node": {
+            "op": "bc_node", "graph": "usa-road", "node": 4,
             "num_sources": 2, "seed": 0,
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def answers(self):
+        return ExactAnswers("tiny", 7)
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        """The in-process service's answer to each request, JSON round-tripped."""
+        service = GraphService(ServeConfig(scale="tiny", seed=7, self_check=False))
+        answer = {
+            op: service.execute(dict(req), Deadline.from_ms(10000))["result"]
+            for op, req in self.REQUESTS.items()
         }
-        assert ref.check(req, {"score": float(scores[5])})
-        assert not ref.check(req, {"score": float(scores[5]) + 0.5})
+        return json.loads(json.dumps(answer))
+
+    @pytest.mark.parametrize("op", sorted(REQUESTS))
+    def test_server_answer_is_the_expected_one(self, answers, served, op):
+        assert served[op] == answers.expected(self.REQUESTS[op])
+        assert answers.matches(self.REQUESTS[op], served[op])
+
+    def test_pr_topk_k_is_capped_at_n(self, answers):
+        got = answers.expected(dict(self.REQUESTS["pr_topk"], k=10**6))
+        assert got["k"] == len(got["top"]) == answers.graphs["rmat"].num_nodes
+
+    def test_batching_footnotes_are_ignored(self, answers, served):
+        req = self.REQUESTS["sssp"]
+        assert answers.matches(req, dict(served["sssp"], batched=True, batch_lanes=3))
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda top: [], lambda top: top[:-1], lambda top: top[::-1]],
+        ids=["empty", "short", "reordered"],
+    )
+    def test_tampered_top_is_wrong(self, answers, served, tamper):
+        bad = dict(served["pr_topk"], top=tamper(served["pr_topk"]["top"]))
+        assert not answers.matches(self.REQUESTS["pr_topk"], bad)
+
+    def test_wrong_k_nodes_with_their_true_ranks_is_wrong(self, answers, served):
+        req = self.REQUESTS["pr_topk"]
+        ranks = pagerank(answers.plans["rmat"]).values
+        chosen = {node for node, _ in served["pr_topk"]["top"]}
+        others = [i for i in np.argsort(-ranks, kind="stable") if int(i) not in chosen]
+        top = [[int(i), float(ranks[i])] for i in others[: req["k"]]]
+        assert not answers.matches(req, dict(served["pr_topk"], top=top))
+
+    @pytest.mark.parametrize("op,field", [("sssp", "distance"), ("bc_node", "score")])
+    def test_value_one_ulp_off_is_wrong(self, answers, served, op, field):
+        off = float(np.nextafter(served[op][field], np.inf))
+        assert not answers.matches(self.REQUESTS[op], dict(served[op], **{field: off}))
+
+    @pytest.mark.parametrize("op", ["sssp", "pr_topk"])
+    def test_wrong_iterations_is_wrong(self, answers, served, op):
+        bad = dict(served[op], iterations=served[op]["iterations"] + 1)
+        assert not answers.matches(self.REQUESTS[op], bad)
+
+    @pytest.mark.parametrize("op", sorted(REQUESTS))
+    def test_non_exact_technique_is_wrong(self, answers, served, op):
+        bad = dict(served[op], technique="coalescing")
+        assert not answers.matches(self.REQUESTS[op], bad)
+
+    def test_missing_result_is_wrong(self, answers):
+        assert not answers.matches(self.REQUESTS["sssp"], None)
 
 
 class TestRunSpec:
@@ -162,6 +200,33 @@ class TestRunSpec:
         spec["kpis"] = [{"ge": {"qps": 10**9}}]
         report = run_spec(spec)
         assert report["ok"] is False
+
+    def test_reversed_top_fails_the_report(self, monkeypatch):
+        true_pr_topk = GraphService._pr_topk
+
+        def reversed_pr_topk(self, *args):
+            out = true_pr_topk(self, *args)
+            out["top"] = out["top"][::-1]
+            return out
+
+        monkeypatch.setattr(GraphService, "_pr_topk", reversed_pr_topk)
+        spec = dict(BASE_SPEC, requests=8)
+        spec["queries"] = [{"op": "pr_topk", "graph": "rmat", "ratio": 1.0, "k": 5}]
+        report = run_spec(spec)
+        assert report["overall"]["wrong"] > 0
+        assert report["ok"] is False
+
+    def test_connect_to_server_of_another_scale_rejected(self):
+        server = ReproServer(
+            ServeConfig(scale="tiny", seed=7, self_check=False)
+        )
+        port = server.start()
+        try:
+            spec = dict(BASE_SPEC, server={"scale": "small", "seed": 7}, requests=4)
+            with pytest.raises(ServeError, match="scale small, seed 7"):
+                run_spec(spec, host=server.config.host, port=port)
+        finally:
+            server.stop()
 
     def test_unknown_graph_in_spec_rejected(self):
         spec = dict(BASE_SPEC)
