@@ -25,11 +25,15 @@ import numpy as np
 
 from ..errors import TransformError
 from ..graphs.csr import CSRGraph
-from ..graphs.properties import ragged_arange
 from ..gpusim.device import DeviceConfig, K40C
+from ..perf.gather import expand_rows
 from .knobs import DivergenceKnobs
 
 __all__ = ["DivergencePlan", "bucket_order", "normalize_degrees", "degree_sim"]
+
+# 2-hop records gathered per block of padded nodes: one pass over every
+# node would hold all of a dense graph's 2-hop records at once
+_BLOCK_RECORDS = 65_536
 
 
 @dataclass
@@ -111,61 +115,49 @@ def normalize_degrees(
     warp_max = np.maximum.reduceat(degs[order].astype(np.float64), starts)
     per_pos_max = np.repeat(warp_max, np.diff(np.append(starts, n)))
 
-    # deficient-but-close nodes: 0 < degreeSim <= threshold
-    pad_positions = np.nonzero((sim > 0) & (sim <= knobs.degree_sim_threshold))[0]
+    # deficient-but-close nodes: 0 < degreeSim <= threshold, in position order
+    pad = np.nonzero((sim > 0) & (sim <= knobs.degree_sim_threshold))[0]
+    need = np.ceil(knobs.target_fraction * per_pos_max[pad]).astype(np.int64)
+    need -= degs[order[pad]]
+    nodes, need = order[pad][need > 0], need[need > 0]
 
-    new_src: list[np.ndarray] = []
-    new_dst: list[np.ndarray] = []
-    new_w: list[np.ndarray] = []
-    weighted = graph.is_weighted
-    padded: list[int] = []
-    edges_added = 0
-
-    offsets, indices = graph.offsets, graph.indices
-
-    for pos in pad_positions:
-        v = int(order[pos])
-        target = int(np.ceil(knobs.target_fraction * per_pos_max[pos]))
-        need = target - int(degs[v])
-        if need <= 0:
-            continue
-        direct = indices[offsets[v] : offsets[v + 1]].astype(np.int64)
-        if direct.size == 0:
-            continue
-        # gather 2-hop candidates in adjacency order: expand every direct
-        # neighbour's adjacency list, vectorized (the per-element Python
-        # scan here used to be quadratic in the warp-max degree)
-        mid_degs = (offsets[direct + 1] - offsets[direct]).astype(np.int64)
-        if int(mid_degs.sum()) == 0:
-            continue
-        flat_pos = np.repeat(offsets[direct], mid_degs) + ragged_arange(mid_degs)
-        flat = indices[flat_pos].astype(np.int64)
+    # each node's 2-hop record count (its neighbours' degrees summed); the
+    # pass runs over blocks of nodes starting every _BLOCK_RECORDS records
+    offsets, indices, weights = graph.offsets, graph.indices, graph.weights
+    hops = np.concatenate([[0], np.cumsum(degs[indices])])
+    records = hops[offsets[nodes + 1]] - hops[offsets[nodes]]
+    cuts = np.flatnonzero(
+        np.diff((np.cumsum(records) - records) // _BLOCK_RECORDS, prepend=-1)
+    )
+    new_src, new_dst, new_w = [], [], []
+    for a, b in zip(cuts, np.append(cuts[1:], nodes.size)):
+        block = nodes[a:b]
+        hop1 = expand_rows(offsets, indices, block)
+        hop2 = expand_rows(offsets, indices, hop1.e_dst)
+        node1 = np.repeat(np.arange(block.size), hop1.degs)
+        node2 = np.repeat(node1, hop2.degs)
         # padding may only *add* information: never duplicate an existing
         # edge of v, never target v itself
-        ok = (flat != v) & ~np.isin(flat, direct)
-        flat_pos, flat = flat_pos[ok], flat[ok]
-        if flat.size == 0:
-            continue
-        # first occurrence of each candidate, in appearance order —
-        # identical to the old sequential scan's dedup semantics
-        _, first = np.unique(flat, return_index=True)
-        take = np.sort(first)[:need]
-        cand = flat[take]
-        new_src.append(np.full(cand.size, v, dtype=np.int64))
-        new_dst.append(cand)
-        if weighted:
-            hop_w = (
-                np.repeat(graph.weights[offsets[v] : offsets[v + 1]], mid_degs)[ok]
-                + graph.weights[flat_pos]
-            )
-            new_w.append(hop_w[take].astype(np.float64))
-        edges_added += int(cand.size)
-        padded.append(v)
+        keys = node2 * n + hop2.e_dst
+        ok = ~np.isin(keys, node1 * n + hop1.e_dst) & (hop2.e_dst != block[node2])
+        # first occurrence of each candidate in adjacency order, then the
+        # node's first ``need`` of them
+        _, first = np.unique(keys[ok], return_index=True)
+        take = np.flatnonzero(ok)[np.sort(first)]
+        owner = node2[take]
+        rank = np.arange(take.size) - np.searchsorted(owner, owner)
+        take = take[rank < need[a:b][owner]]
+        new_src.append(block[node2[take]])
+        new_dst.append(hop2.e_dst[take])
+        if weights is not None:
+            first_w = np.repeat(weights[hop1.epos], hop2.degs)[take]
+            new_w.append(first_w + weights[hop2.epos[take]])
+    added = np.concatenate(new_src) if new_src else np.empty(0, dtype=np.int64)
 
-    if new_src:
-        src = np.concatenate([graph.edge_sources().astype(np.int64)] + new_src)
+    if added.size:
+        src = np.concatenate([graph.edge_sources().astype(np.int64), added])
         dst = np.concatenate([graph.indices.astype(np.int64)] + new_dst)
-        w = np.concatenate([graph.weights] + new_w) if weighted else None
+        w = np.concatenate([graph.weights] + new_w) if weights is not None else None
         # NOT dedup=True: the padding edges are already unique and disjoint
         # from v's existing edges, while a global dedup would silently drop
         # pre-existing parallel edges of the *original* graph — making the
@@ -178,6 +170,6 @@ def normalize_degrees(
     return DivergencePlan(
         graph=out_graph,
         order=order,
-        edges_added=edges_added,
-        padded_nodes=np.asarray(padded, dtype=np.int64),
+        edges_added=int(added.size),
+        padded_nodes=nodes[np.isin(nodes, added)],
     )

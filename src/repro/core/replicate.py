@@ -18,6 +18,8 @@ import numpy as np
 
 from ..errors import TransformError
 from ..graphs.csr import CSRGraph
+from ..graphs.properties import ragged_arange
+from ..perf.gather import expand_rows
 from .knobs import CoalescingKnobs
 from .renumber import RenumberResult
 
@@ -73,9 +75,13 @@ def replicate(
         )
     k = knobs.chunk_size
     num_slots = ren.num_slots
-    src, dst, weights = _slot_edges(graph, ren)
-    w = weights.copy() if weights is not None else None
-    src = src.copy()
+    # adjacency lists are sorted by *new* id: round-robin children of a
+    # parent receive ascending ids in round order, so sorting preserves
+    # the step-j alignment the renumbering creates while also keeping the
+    # low-segment clustering that sorted CSR inputs give the baseline.
+    slot_graph = CSRGraph.from_edges(num_slots, *_slot_edges(graph, ren))
+    offsets, indices, w = slot_graph.offsets, slot_graph.indices, slot_graph.weights
+    src = slot_graph.edge_sources().astype(np.int64)
 
     chunk_of = np.arange(num_slots, dtype=np.int64) // k
     num_chunks = num_slots // k
@@ -86,12 +92,12 @@ def replicate(
         chunk_of[non_hole], minlength=num_chunks
     ).astype(np.int64)
 
-    # --- group edges by (src slot, destination chunk) once -----------------
-    edge_key = src * num_chunks + chunk_of[dst]
-    edge_order = np.argsort(edge_key, kind="stable")
-    sorted_keys = edge_key[edge_order]
+    # --- group edges by (src slot, destination chunk) ----------------------
+    # rows are sorted by destination, so the keys are already sorted and
+    # each group is one contiguous slice of its source's row
+    edge_key = src * num_chunks + chunk_of[indices]
     uniq_keys, key_starts, key_counts = np.unique(
-        sorted_keys, return_index=True, return_counts=True
+        edge_key, return_index=True, return_counts=True
     )
     cand_src = (uniq_keys // num_chunks).astype(np.int64)
     cand_chunk = (uniq_keys % num_chunks).astype(np.int64)
@@ -115,119 +121,72 @@ def replicate(
     order = np.lexsort((-connectedness, -key_counts))
     order = order[eligible[order]]
 
-    # --- slot-space CSR for 2-hop lookup -----------------------------------
-    # adjacency lists are sorted by *new* id: round-robin children of a
-    # parent receive ascending ids in round order, so sorting preserves
-    # the step-j alignment the renumbering creates while also keeping the
-    # low-segment clustering that sorted CSR inputs give the baseline.
-    slot_graph = CSRGraph.from_edges(num_slots, src, dst, w, sort_neighbors=True)
-    # from_edges reorders edges; rebuild flat arrays aligned with it so the
-    # move step below edits the arrays we will finally build from.
-    src = slot_graph.edge_sources().astype(np.int64)
-    dst = slot_graph.indices.astype(np.int64)
-    w = slot_graph.weights
-    edge_key = src * num_chunks + chunk_of[dst]
-    edge_order = np.argsort(edge_key, kind="stable")
-    sorted_keys = edge_key[edge_order]
-
+    # --- greedy pick: the hole pool and the per-node cap are order-dependent
     replicas_per_node: dict[int, int] = {}
-    replica_rows: list[tuple[int, int]] = []
-    add_src: list[np.ndarray] = []
-    add_dst: list[np.ndarray] = []
-    add_w: list[np.ndarray] = []
-    edges_moved = 0
-    edges_added = 0
-
+    picks: list[tuple[int, int, int]] = []  # (candidate, hole, original)
     for idx in order:
-        u_slot = int(cand_src[idx])
-        c = int(cand_chunk[idx])
-        lev = int(chunk_level[c])
+        lev = int(chunk_level[cand_chunk[idx]])
         pool = holes_by_level.get(lev - 1)
-        if not pool:
-            continue
-        orig = int(rep_of[u_slot])
-        if orig < 0:
+        orig = int(rep_of[cand_src[idx]])
+        if not pool or orig < 0:
             continue
         if replicas_per_node.get(orig, 0) >= knobs.max_replicas_per_node:
             continue
         hole = pool.pop(0)
         rep_of[hole] = orig
         replicas_per_node[orig] = replicas_per_node.get(orig, 0) + 1
-        replica_rows.append((hole, orig))
+        picks.append((int(idx), hole, orig))
+    pick_idx, holes, origs = np.array(picks, dtype=np.int64).reshape(-1, 3).T
+    us, cs = cand_src[pick_idx], cand_chunk[pick_idx]
 
-        # move u's edges into chunk c onto the replica
-        key = u_slot * num_chunks + c
-        lo = int(np.searchsorted(sorted_keys, key, side="left"))
-        hi = int(np.searchsorted(sorted_keys, key, side="right"))
-        moved_edges = edge_order[lo:hi]
-        src[moved_edges] = hole
-        edges_moved += moved_edges.size
+    # move u's edges into chunk c onto the replica
+    moved = np.repeat(key_starts[pick_idx], key_counts[pick_idx])
+    moved += ragged_arange(key_counts[pick_idx])
+    src[moved] = np.repeat(holes, key_counts[pick_idx])
 
-        # add edges replica -> 2-hop neighbours of u inside chunk c
-        direct = slot_graph.neighbors(u_slot).astype(np.int64)
-        if direct.size:
-            two_hop_chunks: list[np.ndarray] = []
-            two_hop_w: list[np.ndarray] = []
-            for pos, mid in enumerate(direct):
-                nbrs2 = slot_graph.neighbors(int(mid)).astype(np.int64)
-                in_chunk = nbrs2[chunk_of[nbrs2] == c]
-                if in_chunk.size == 0:
-                    continue
-                two_hop_chunks.append(in_chunk)
-                if w is not None:
-                    base = float(slot_graph.edge_weights_of(u_slot)[pos])
-                    mid_w = slot_graph.edge_weights_of(int(mid))
-                    two_hop_w.append(
-                        base + mid_w[chunk_of[nbrs2] == c]
-                    )
-            if two_hop_chunks:
-                targets = np.concatenate(two_hop_chunks)
-                t_w = np.concatenate(two_hop_w) if w is not None else None
-                # drop existing direct targets and self references
-                direct_in_c = direct[chunk_of[direct] == c]
-                drop = np.isin(targets, direct_in_c) | (targets == u_slot)
-                targets = targets[~drop]
-                if t_w is not None:
-                    t_w = t_w[~drop]
-                if targets.size:
-                    # keep the minimum-weight path per distinct target
-                    if t_w is not None:
-                        o2 = np.lexsort((t_w, targets))
-                        targets, t_w = targets[o2], t_w[o2]
-                        firsts = np.ones(targets.size, dtype=bool)
-                        firsts[1:] = targets[1:] != targets[:-1]
-                        targets, t_w = targets[firsts], t_w[firsts]
-                    else:
-                        targets = np.unique(targets)
-                    add_src.append(np.full(targets.size, hole, dtype=np.int64))
-                    add_dst.append(targets)
-                    if t_w is not None:
-                        add_w.append(t_w)
-                    edges_added += targets.size
-
-    if add_src:
-        src = np.concatenate([src] + add_src)
-        dst = np.concatenate([dst] + add_dst)
-        if w is not None:
-            w = np.concatenate([w] + add_w)
+    # add edges replica -> 2-hop neighbours of u inside chunk c: each
+    # direct neighbour's targets in chunk c are one slice of its row
+    hop1 = expand_rows(offsets, indices, us)
+    pick1 = np.repeat(np.arange(holes.size), hop1.degs)
+    mid_key = hop1.e_dst * num_chunks + cs[pick1]
+    lo = np.searchsorted(edge_key, mid_key, side="left")
+    counts = np.searchsorted(edge_key, mid_key, side="right") - lo
+    pos2 = np.repeat(lo, counts) + ragged_arange(counts)
+    pick2 = np.repeat(pick1, counts)
+    # drop existing direct targets and self references
+    keys = pick2 * num_slots + indices[pos2]
+    keep = ~np.isin(keys, pick1 * num_slots + hop1.e_dst)
+    keep &= indices[pos2] != us[pick2]
+    keys = keys[keep]
+    if w is not None:
+        # keep the minimum-weight path per (replica, target)
+        hop_w = (np.repeat(w[hop1.epos], counts) + w[pos2])[keep]
+        o2 = np.lexsort((hop_w, keys))
+        keys, hop_w = keys[o2], hop_w[o2]
+        firsts = np.ones(keys.size, dtype=bool)
+        firsts[1:] = keys[1:] != keys[:-1]
+        keys, w = keys[firsts], np.concatenate([w, hop_w[firsts]])
+    else:
+        keys = np.unique(keys)
 
     # no dedup here: the construction above cannot introduce duplicates
     # (added targets exclude existing direct edges; one replica per
     # (node, chunk); distinct replicas have distinct source slots), and a
     # dedup pass would re-sort adjacencies.
-    final = CSRGraph.from_edges(num_slots, src, dst, w, sort_neighbors=True)
+    final = CSRGraph.from_edges(
+        num_slots,
+        np.concatenate([src, holes[keys // num_slots]]),
+        np.concatenate([indices, keys % num_slots]),
+        w,
+    )
 
     primary_slot = ren.new_id.copy()
-    replicas = (
-        np.asarray(replica_rows, dtype=np.int64).reshape(-1, 2)
-        if replica_rows
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    replicas = np.stack([holes, origs], axis=1)
     return ReplicationResult(
         graph=final,
         rep_of=rep_of,
         primary_slot=primary_slot,
         replicas=replicas,
-        edges_moved=edges_moved,
-        edges_added=max(0, edges_added),
+        edges_moved=int(moved.size),
+        edges_added=int(keys.size),
     )

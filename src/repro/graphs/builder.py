@@ -1,10 +1,7 @@
-"""Incremental graph construction and conversion utilities.
+"""Graph conversion utilities and node relabelling.
 
-The Graffix transforms (renumbering, replication, edge insertion) need to
-assemble modified graphs edge-by-edge before freezing them back into CSR.
-:class:`GraphBuilder` provides that staging area; the module also converts
-to and from :mod:`networkx` and :mod:`scipy.sparse` for the exact reference
-implementations.
+Converts to and from :mod:`networkx` and :mod:`scipy.sparse` for the
+exact reference implementations, and relabels nodes with :func:`permute`.
 """
 
 from __future__ import annotations
@@ -21,96 +18,12 @@ if TYPE_CHECKING:  # pragma: no cover
     import networkx
 
 __all__ = [
-    "GraphBuilder",
     "to_scipy",
     "from_scipy",
     "to_networkx",
     "from_networkx",
     "permute",
 ]
-
-
-class GraphBuilder:
-    """Accumulates edges and freezes them into a :class:`CSRGraph`.
-
-    Edges are staged in Python lists of numpy chunks so that bulk inserts
-    (the common case in transforms) stay vectorized.
-    """
-
-    def __init__(self, num_nodes: int, weighted: bool = False) -> None:
-        if num_nodes < 0:
-            raise GraphFormatError("num_nodes must be non-negative")
-        self.num_nodes = int(num_nodes)
-        self.weighted = bool(weighted)
-        self._src: list[np.ndarray] = []
-        self._dst: list[np.ndarray] = []
-        self._w: list[np.ndarray] = []
-
-    @classmethod
-    def from_graph(cls, graph: CSRGraph) -> "GraphBuilder":
-        """Start from an existing graph's edges."""
-        b = cls(graph.num_nodes, weighted=graph.is_weighted)
-        b.add_edges(
-            graph.edge_sources().astype(np.int64),
-            graph.indices.astype(np.int64),
-            graph.weights,
-        )
-        return b
-
-    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        self.add_edges(
-            np.array([u], dtype=np.int64),
-            np.array([v], dtype=np.int64),
-            np.array([weight]) if self.weighted else None,
-        )
-
-    def add_edges(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise GraphFormatError("src/dst length mismatch")
-        if src.size == 0:
-            return
-        if src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= self.num_nodes:
-            raise GraphFormatError("edge endpoint out of range for builder")
-        self._src.append(src)
-        self._dst.append(dst)
-        if self.weighted:
-            if weights is None:
-                weights = np.ones(src.size, dtype=np.float64)
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != src.shape:
-                raise GraphFormatError("weights length mismatch")
-            self._w.append(weights)
-
-    def grow(self, new_num_nodes: int) -> None:
-        """Raise the node-id ceiling (used when adding replica slots)."""
-        if new_num_nodes < self.num_nodes:
-            raise GraphFormatError("grow() cannot shrink the node set")
-        self.num_nodes = int(new_num_nodes)
-
-    @property
-    def num_staged_edges(self) -> int:
-        return int(sum(c.size for c in self._src))
-
-    def build(self, *, dedup: bool = False, sort_neighbors: bool = True) -> CSRGraph:
-        """Freeze the staged edges into a CSR graph."""
-        if not self._src:
-            g = CSRGraph.empty(self.num_nodes)
-            if self.weighted:
-                g = g.with_weights(np.empty(0, dtype=np.float64))
-            return g
-        src = np.concatenate(self._src)
-        dst = np.concatenate(self._dst)
-        w = np.concatenate(self._w) if self.weighted else None
-        return CSRGraph.from_edges(
-            self.num_nodes, src, dst, w, dedup=dedup, sort_neighbors=sort_neighbors
-        )
 
 
 def to_scipy(graph: CSRGraph) -> sp.csr_matrix:
@@ -197,6 +110,8 @@ def permute(graph: CSRGraph, new_id: np.ndarray) -> CSRGraph:
     n = graph.num_nodes
     if new_id.size != n:
         raise GraphFormatError("permutation length must equal num_nodes")
+    if new_id.size and (new_id.min() < 0 or new_id.max() >= n):
+        raise GraphFormatError("new_id must be a permutation of 0..n-1")
     seen = np.zeros(n, dtype=bool)
     seen[new_id] = True
     if not seen.all():

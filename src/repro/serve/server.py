@@ -231,9 +231,11 @@ class ReproServer:
             return self._handle_admin(req)
         # queries get their own denominator: serve.requests.total counts
         # every protocol line (admin probes included), which would make
-        # an availability objective treat each health check as a failure
-        obs_metrics.counter("serve.queries.total").inc()
+        # an availability objective treat each health check as a failure.
+        # It is bumped with the outcome counter, never on arrival: an SLO
+        # tick must not read another client's in-flight query as a failure
         if self._draining.is_set():
+            obs_metrics.counter("serve.queries.total").inc()
             obs_metrics.counter("serve.requests.shutting_down").inc()
             return error_response(req, "shutting_down", "server is draining")
         deadline = Deadline.from_ms(
@@ -270,6 +272,7 @@ class ReproServer:
             logger.warning("query %s failed: %s", op, exc)
             resp = error_response(req, status, f"{type(exc).__name__}: {exc}")
         elapsed = time.perf_counter() - t0
+        obs_metrics.counter("serve.queries.total").inc()
         obs_metrics.counter(f"serve.requests.{status}").inc()
         obs_metrics.histogram("serve.request.time", STAGE_BUCKETS).observe(elapsed)
         # tick after the outcome counters land, so the burn the *next*

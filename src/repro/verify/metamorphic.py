@@ -33,25 +33,17 @@ from ..core.divergence import normalize_degrees
 from ..core.knobs import DivergenceKnobs, SharedMemoryKnobs
 from ..core.pipeline import build_plan
 from ..core.shmem import plan_shared_memory
+from ..graphs.builder import permute
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
 from .invariants import Violation
 
 __all__ = [
-    "relabel_graph",
     "check_relabel_invariance",
     "check_weight_scaling",
     "check_knob_monotonicity",
     "check_exact_identity",
 ]
-
-
-def relabel_graph(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
-    """Return the same graph with node ``v`` renamed to ``perm[v]``."""
-    src = perm[graph.edge_sources()]
-    dst = perm[graph.indices]
-    w = None if graph.weights is None else graph.weights.copy()
-    return CSRGraph.from_edges(graph.num_nodes, src, dst, w, dedup=False)
 
 
 def _pick_source(graph: CSRGraph) -> int:
@@ -66,7 +58,7 @@ def check_relabel_invariance(
     n = graph.num_nodes
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    relabelled = relabel_graph(graph, perm)
+    relabelled = permute(graph, perm)
     source = _pick_source(graph)
 
     # SSSP: min over per-path left-to-right sums — bit-identical

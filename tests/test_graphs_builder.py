@@ -1,4 +1,4 @@
-"""Unit tests for GraphBuilder and conversion utilities."""
+"""Unit tests for the graph conversion utilities and ``permute``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graphs.builder import (
-    GraphBuilder,
     from_networkx,
     from_scipy,
     permute,
@@ -16,73 +15,6 @@ from repro.graphs.builder import (
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.validate import edge_set
-
-
-class TestGraphBuilder:
-    def test_single_edges(self):
-        b = GraphBuilder(3)
-        b.add_edge(0, 1)
-        b.add_edge(1, 2)
-        g = b.build()
-        assert edge_set(g) == {(0, 1), (1, 2)}
-
-    def test_bulk_edges(self):
-        b = GraphBuilder(4)
-        b.add_edges(np.array([0, 1, 2]), np.array([1, 2, 3]))
-        assert b.num_staged_edges == 3
-        g = b.build()
-        assert g.num_edges == 3
-
-    def test_weighted_builder(self):
-        b = GraphBuilder(2, weighted=True)
-        b.add_edge(0, 1, weight=4.5)
-        g = b.build()
-        assert g.is_weighted
-        assert g.weights[0] == 4.5
-
-    def test_weighted_builder_defaults_missing_weights_to_one(self):
-        b = GraphBuilder(2, weighted=True)
-        b.add_edges(np.array([0]), np.array([1]))
-        g = b.build()
-        assert g.weights[0] == 1.0
-
-    def test_from_graph_roundtrip(self, weighted_graph):
-        g = GraphBuilder.from_graph(weighted_graph).build()
-        assert g == weighted_graph
-
-    def test_grow(self):
-        b = GraphBuilder(2)
-        b.grow(5)
-        b.add_edge(4, 0)
-        assert b.build().num_nodes == 5
-
-    def test_grow_cannot_shrink(self):
-        b = GraphBuilder(5)
-        with pytest.raises(GraphFormatError):
-            b.grow(2)
-
-    def test_out_of_range_rejected(self):
-        b = GraphBuilder(2)
-        with pytest.raises(GraphFormatError):
-            b.add_edge(0, 2)
-
-    def test_negative_num_nodes_rejected(self):
-        with pytest.raises(GraphFormatError):
-            GraphBuilder(-1)
-
-    def test_empty_build(self):
-        g = GraphBuilder(3).build()
-        assert g.num_nodes == 3 and g.num_edges == 0
-
-    def test_empty_weighted_build(self):
-        g = GraphBuilder(3, weighted=True).build()
-        assert g.is_weighted and g.num_edges == 0
-
-    def test_dedup_on_build(self):
-        b = GraphBuilder(2)
-        b.add_edge(0, 1)
-        b.add_edge(0, 1)
-        assert b.build(dedup=True).num_edges == 1
 
 
 class TestScipyConversion:
@@ -156,3 +88,16 @@ class TestPermute:
     def test_wrong_length_rejected(self, tiny_graph):
         with pytest.raises(GraphFormatError):
             permute(tiny_graph, np.arange(3))
+
+    def test_out_of_range_id_rejected(self, tiny_graph):
+        bad = np.arange(tiny_graph.num_nodes)
+        bad[-1] = tiny_graph.num_nodes
+        with pytest.raises(GraphFormatError):
+            permute(tiny_graph, bad)
+
+    def test_negative_id_rejected_on_isolated_node(self):
+        # -1 would index the last slot and pass a pure coverage check;
+        # node 2 has no edges, so no endpoint check downstream catches it
+        g = CSRGraph.from_edges(3, [0], [1])
+        with pytest.raises(GraphFormatError):
+            permute(g, [0, 1, -1])

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.builder import GraphBuilder, permute
+from repro.graphs.builder import permute
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import dumps, loads
 from repro.graphs.properties import bfs_levels, ragged_arange
@@ -46,8 +46,12 @@ class TestCSRProperties:
 
     @given(random_graphs())
     @settings(max_examples=40, deadline=None)
-    def test_builder_roundtrip(self, g):
-        assert GraphBuilder.from_graph(g).build(sort_neighbors=False) == g
+    def test_from_edges_roundtrip(self, g):
+        rebuilt = CSRGraph.from_edges(
+            g.num_nodes, g.edge_sources(), g.indices, g.weights,
+            sort_neighbors=False,
+        )
+        assert rebuilt == g
 
     @given(random_graphs())
     @settings(max_examples=30, deadline=None)

@@ -8,8 +8,9 @@ import json
 import pytest
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.slo import SLOTracker, default_serve_slos
 from repro.serve.degrade import DegradationLadder
-from repro.serve.protocol import ADMIN_OPS, ServeClient
+from repro.serve.protocol import ADMIN_OPS, ServeClient, encode
 from repro.serve.server import ReproServer
 from repro.serve.service import ServeConfig
 
@@ -109,6 +110,55 @@ class TestBurnDrivesLadder:
                 c.request({"op": "pr_topk", "graph": "rmat", "k": 3})
                 health = c.request({"op": "health"})["result"]
             assert health["slo_burn_rate"] > 1.0
+        finally:
+            srv.stop(drain=False)
+
+    def test_in_flight_query_is_not_an_availability_failure(
+        self, server, monkeypatch
+    ):
+        """A tracker tick that lands while a query is still running must
+        not count it as a failure: the query total is bumped with the
+        outcome, so the burn the ladder reads stays at zero."""
+        now = [0.0]
+        tracker = SLOTracker(default_serve_slos(), clock=lambda: now[0])
+        monkeypatch.setattr(server, "slo_tracker", tracker)
+
+        def availability_burn() -> float:
+            (slo,) = [s for s in tracker.status()["slos"] if s["name"] == "availability"]
+            return slo["windows"]["10s"]
+
+        execute = server.service.execute
+        in_flight = []
+
+        def tick_mid_query(req, deadline):
+            now[0] += 1.0
+            tracker.observe()
+            in_flight.append(availability_burn())
+            return execute(req, deadline)
+
+        monkeypatch.setattr(server.service, "execute", tick_mid_query)
+        tracker.observe()
+        resp = server.handle_line(encode({"op": "pr_topk", "graph": "rmat", "k": 3}))
+        assert resp["status"] == "ok"
+        assert in_flight == [0.0]
+        now[0] += 1.0
+        assert tracker.observe() == 0.0
+
+    def test_draining_query_counts_in_total_and_outcome(self):
+        """A query refused while draining lands in the query total and in
+        its outcome counter together, so the availability ratio sees it."""
+        srv = ReproServer(
+            ServeConfig(scale="tiny", seed=7, workers=2, self_check=False)
+        )
+        srv.start()
+        try:
+            total = obs_metrics.counter("serve.queries.total")
+            refused = obs_metrics.counter("serve.requests.shutting_down")
+            before = (total.value, refused.value)
+            srv._draining.set()
+            resp = srv.handle_line(encode({"op": "pr_topk", "graph": "rmat", "k": 3}))
+            assert resp["status"] == "shutting_down"
+            assert (total.value, refused.value) == (before[0] + 1, before[1] + 1)
         finally:
             srv.stop(drain=False)
 
