@@ -25,17 +25,8 @@ Quickstart::
           ev.attribute_inaccuracy(exact.values, approx.values))
 """
 
-from . import (
-    algorithms,
-    baselines,
-    cache,
-    core,
-    eval,
-    graphs,
-    gpusim,
-    resilience,
-    verify,
-)
+import importlib
+
 from .errors import (
     AlgorithmError,
     CacheError,
@@ -76,3 +67,16 @@ __all__ = [
     "resilience",
     "verify",
 ]
+
+
+def __getattr__(name: str):
+    # The subpackages in __all__ load on first use (PEP 562), so
+    # ``import repro.tune`` loads only what the tuner imports, not
+    # ``repro.verify``; the exception names are bound above.
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

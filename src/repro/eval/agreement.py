@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ReproError
 from . import paper_data
@@ -87,6 +86,10 @@ def score_table(table: str, measured_rows: list[dict]) -> TableAgreement:
     paper = np.array([p[1] for p in pairs])
     direction = float(np.mean((measured >= 1.0) == (paper >= 1.0)))
     if np.unique(measured).size > 1 and np.unique(paper).size > 1:
+        # scipy.stats costs ~0.8 CPU s to import and only this report
+        # uses it, so it loads here, not with the package
+        from scipy import stats
+
         rho = float(stats.spearmanr(measured, paper).statistic)
     else:
         rho = 0.0

@@ -42,6 +42,7 @@ from typing import Callable
 
 from .. import cache as repro_cache
 from ..gpusim.device import K40C
+from ..graphs.generators import SUITE_SIZES
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger, setup_logging
@@ -190,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default="tiny",
-        choices=("tiny", "small", "medium"),
+        choices=tuple(SUITE_SIZES),
         help="input-suite scale (default tiny)",
     )
     parser.add_argument("--seed", type=int, default=7)

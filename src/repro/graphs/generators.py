@@ -35,6 +35,7 @@ __all__ = [
     "heavy_tail_social",
     "paper_suite",
     "PAPER_GRAPH_NAMES",
+    "SUITE_SIZES",
 ]
 
 
@@ -300,6 +301,13 @@ def heavy_tail_social(
 
 PAPER_GRAPH_NAMES = ("rmat", "random", "livejournal", "usa-road", "twitter")
 
+# the generator sizes behind each :func:`paper_suite` scale
+SUITE_SIZES = {
+    "tiny": dict(rmat_scale=8, er_n=256, er_m=2048, road_side=18, pa_n=300, tw_n=300),
+    "small": dict(rmat_scale=11, er_n=2048, er_m=24576, road_side=48, pa_n=2000, tw_n=2000),
+    "medium": dict(rmat_scale=13, er_n=8192, er_m=131072, road_side=96, pa_n=8000, tw_n=8000),
+}
+
 
 def paper_suite(
     scale: str = "small", *, seed: int = 7, weighted: bool = True
@@ -310,14 +318,11 @@ def paper_suite(
     benchmark harness), or ``"medium"`` (slower, closer degree tails).
     Keys follow :data:`PAPER_GRAPH_NAMES`.
     """
-    sizes = {
-        "tiny": dict(rmat_scale=8, er_n=256, er_m=2048, road_side=18, pa_n=300, tw_n=300),
-        "small": dict(rmat_scale=11, er_n=2048, er_m=24576, road_side=48, pa_n=2000, tw_n=2000),
-        "medium": dict(rmat_scale=13, er_n=8192, er_m=131072, road_side=96, pa_n=8000, tw_n=8000),
-    }
-    if scale not in sizes:
-        raise GraphFormatError(f"unknown suite scale {scale!r}; pick from {sorted(sizes)}")
-    s = sizes[scale]
+    if scale not in SUITE_SIZES:
+        raise GraphFormatError(
+            f"unknown suite scale {scale!r}; pick from {sorted(SUITE_SIZES)}"
+        )
+    s = SUITE_SIZES[scale]
     builders: dict[str, Callable[[], CSRGraph]] = {
         "rmat": lambda: rmat(s["rmat_scale"], edge_factor=12, seed=seed, weighted=weighted),
         "random": lambda: erdos_renyi(s["er_n"], s["er_m"], seed=seed + 1, weighted=weighted),

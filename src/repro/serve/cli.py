@@ -14,6 +14,7 @@ import argparse
 import signal
 
 from ..core.pipeline import TECHNIQUES
+from ..graphs.generators import SUITE_SIZES
 from ..obs import trace as obs_trace
 from .server import ReproServer
 from .service import ServeConfig
@@ -55,7 +56,10 @@ def main(argv: list[str] | None = None) -> int:
         "--port", type=int, default=0, help="0 binds an ephemeral port (printed)"
     )
     parser.add_argument(
-        "--scale", default="tiny", help="paper_suite scale to load (tiny/small/medium)"
+        "--scale",
+        default="tiny",
+        choices=tuple(SUITE_SIZES),
+        help="paper_suite scale to load",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(

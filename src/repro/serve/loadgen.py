@@ -119,7 +119,14 @@ def load_spec(path: str | Path) -> dict:
     """Parse and sanity-check one YAML load spec."""
     import yaml
 
-    spec = yaml.safe_load(Path(path).read_text())
+    try:
+        spec = yaml.safe_load(Path(path).read_text())
+    except OSError as exc:
+        raise ServeError(f"cannot read load spec {path}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1})" if mark is not None else ""
+        raise ServeError(f"load spec {path} is not valid YAML{where}") from exc
     if not isinstance(spec, dict):
         raise ServeError(f"load spec {path} must be a YAML mapping")
     queries = spec.get("queries")
@@ -573,7 +580,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", default=None, type=int)
     args = parser.parse_args(argv)
 
-    spec = load_spec(args.spec)
+    try:
+        spec = load_spec(args.spec)
+    except ServeError as exc:
+        parser.error(str(exc))
     report = run_spec(spec, host=args.host, port=args.port)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 

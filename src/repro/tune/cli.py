@@ -7,18 +7,21 @@ gate drift.  Exit code is 1 when ``--min-speedup`` is set and no family
 reaches it, or when any family's tuned config blows the budget — the
 contract the ``tune-smoke`` CI job relies on — and 2, before any
 search, when ``--record-trajectory`` names a file that is not a
-trajectory.
+trajectory, or when ``--scale``, ``--budget`` or ``--families`` is
+not one the search accepts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import time
 from pathlib import Path
 
 from ..cache import memo
+from ..graphs.generators import PAPER_GRAPH_NAMES, SUITE_SIZES
 from ..obs import metrics as obs_metrics
 from .search import DEFAULT_BUDGET_PERCENT, run_tune
 
@@ -78,6 +81,19 @@ def record_trajectory(report: dict, path: str | Path = TRAJECTORY_PATH) -> dict:
     return entry
 
 
+def _budget(text: str) -> float:
+    """``--budget``: a positive, finite percentage (as ``run_tune`` needs)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if value <= 0 or not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}"
+        )
+    return value
+
+
 def _format_report(report: dict) -> str:
     lines = [
         f"repro tune — scale={report['scale']} "
@@ -125,12 +141,12 @@ def main(argv: list[str] | None = None) -> int:
         description="offline knob auto-tuner (adaptive controller search)",
     )
     parser.add_argument(
-        "--scale", default="tiny", help="suite scale (tiny/small/medium)"
+        "--scale", default="tiny", choices=tuple(SUITE_SIZES), help="suite scale"
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--budget",
-        type=float,
+        type=_budget,
         default=DEFAULT_BUDGET_PERCENT,
         help="target inaccuracy budget in percent",
     )
@@ -138,7 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         "--families",
         nargs="+",
         default=None,
-        help="restrict to these suite families",
+        choices=PAPER_GRAPH_NAMES,
+        metavar="FAMILY",
+        help=f"restrict to these suite families ({', '.join(PAPER_GRAPH_NAMES)})",
     )
     parser.add_argument(
         "--quick",

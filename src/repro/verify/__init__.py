@@ -25,7 +25,10 @@ invariant.
 
 from __future__ import annotations
 
-from . import cli, corpus, differential, golden, invariants, metamorphic
+# ``cli`` is not imported here: it pulls in repro.tune, and
+# ``repro.serve`` needs only the invariants.  ``from repro.verify import
+# cli`` still imports it.
+from . import corpus, differential, golden, invariants, metamorphic
 from .corpus import adversarial_corpus, default_corpus, generated_corpus
 from .invariants import (
     Violation,

@@ -76,6 +76,32 @@ class TestLoadSpec:
         with pytest.raises(ServeError, match="graph"):
             load_spec(write_spec(tmp_path, bad))
 
+    def test_rejects_missing_file(self, tmp_path):
+        with pytest.raises(ServeError, match="cannot read load spec"):
+            load_spec(tmp_path / "missing.yml")
+
+    def test_rejects_malformed_yaml(self, tmp_path):
+        path = tmp_path / "bad.yml"
+        path.write_text("queries: [a, b\nfoo: : :\n")
+        with pytest.raises(ServeError, match=r"not valid YAML \(line 2\)"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("text", [None, "queries: [a, b\n"])
+    def test_main_reports_bad_spec_in_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.yml"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            loadgen.main(["--spec", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(
+            "python -m repro bench serve: error: "
+        )
+        assert not out.exists()
+
 
 class TestKpis:
     def test_le_and_ge(self):

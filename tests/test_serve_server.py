@@ -277,3 +277,17 @@ class TestLifecycle:
         service = GraphService(self._config(self_check=True))
         snap = obs_metrics.snapshot()
         assert snap["counters"]["serve.self_check.plans"] == len(service._plans)
+
+    def test_cli_rejects_unknown_scale_before_loading(self, capsys, monkeypatch):
+        from repro.serve import cli as serve_cli
+
+        def no_server(*_args, **_kwargs):
+            raise AssertionError("a server was built for a bad --scale")
+
+        monkeypatch.setattr(serve_cli, "ReproServer", no_server)
+        with pytest.raises(SystemExit) as exc:
+            serve_cli.main(["--scale", "huge"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale: invalid choice: 'huge'" in err
+        assert "Traceback" not in err
