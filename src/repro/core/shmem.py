@@ -33,6 +33,7 @@ from ..errors import TransformError
 from ..graphs.csr import CSRGraph
 from ..graphs.properties import coefficients_from_counts, triangle_counts
 from ..gpusim.device import DeviceConfig, K40C
+from ..perf.gather import expand_rows
 from .knobs import SharedMemoryKnobs
 
 __all__ = ["SharedMemoryPlan", "plan_shared_memory"]
@@ -85,33 +86,45 @@ def _undirected_adjacency(graph: CSRGraph) -> list[set[int]]:
     return [set(indices[offsets[v] : offsets[v + 1]]) for v in range(und.num_nodes)]
 
 
-def _add_closed_triangles(
-    triangles: np.ndarray, adj: list[set[int]], pairs: list[tuple[int, int]]
-) -> None:
-    """Add the triangles the new undirected ``pairs`` close, in place.
-
-    ``adj`` is the final adjacency (with every pair in it).  A triangle
-    with several new edges is counted once, at the first of them in
-    ``pairs`` order.
-    """
-    rank: dict[tuple[int, int], int] = {}
-    for i, (a, b) in enumerate(pairs):
-        rank[a, b] = rank[b, a] = i
-    corners: list[int] = []
-    for i, (a, b) in enumerate(pairs):
-        for c in adj[a] & adj[b]:
-            if rank.get((a, c), i) < i or rank.get((b, c), i) < i:
-                continue  # counted at an earlier new edge of this triangle
-            corners.extend((a, b, c))
-    if corners:
-        triangles += np.bincount(corners, minlength=triangles.size)
+def _link(adj: list[set[int]], tri: list[int], a: int, b: int) -> None:
+    """Link the new undirected pair ``(a, b)`` and add the triangles it
+    closes (its ends' common neighbours) to ``tri``: a triangle with
+    several new sides counts once, when its last side is linked."""
+    common = adj[a] & adj[b]
+    for c in common:
+        tri[c] += 1
+    tri[a] += len(common)
+    tri[b] += len(common)
+    adj[a].add(b)
+    adj[b].add(a)
 
 
-def _sibling_links(adj: list[set[int]], v: int) -> int:
-    """Edges among ``v``'s neighbours (adj is symmetric, loop-free: each
-    linked pair is seen once from either end)."""
-    nbrs = adj[v]
-    return sum(len(nbrs & adj[a]) for a in nbrs) // 2
+def _open_pairs(adj: list[set[int]], nbrs: list[int]):
+    """Yield ``(a, mid, b)`` for each unlinked pair of ``nbrs``, in order,
+    with a common neighbour (``mid``, the smallest); ``adj`` is read live,
+    so a pair the caller links between yields counts as linked."""
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1 :]:
+            if b in adj[a]:
+                continue
+            common = adj[a] & adj[b]
+            if common:
+                yield a, min(common), b
+
+
+def _hop_weights(graph: CSRGraph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per hop ``x[i] - y[i]``: the lightest ``x -> y`` arc of ``graph``,
+    else the lightest ``y -> x`` arc, else 1."""
+    out = np.ones(x.size)
+    for s, d in ((y, x), (x, y)):  # the forward arcs, written last, win
+        exp = expand_rows(graph.offsets, graph.indices, s)
+        hop = np.repeat(np.arange(s.size), exp.degs)
+        hit = exp.e_dst == d[hop]
+        lightest = np.full(s.size, np.inf)
+        np.minimum.at(lightest, hop[hit], graph.weights[exp.epos[hit]])
+        found = np.unique(hop[hit])
+        out[found] = lightest[found]
+    return out
 
 
 def plan_shared_memory(
@@ -126,56 +139,24 @@ def plan_shared_memory(
         raise TransformError("cannot plan shared memory for an empty graph")
 
     triangles, degrees = triangle_counts(graph)
-    # the boost loop edits its own copy; the memoized counts stay shared
+    # the boost loop edits its own copies; the memoized counts stay shared
     cc = coefficients_from_counts(triangles, degrees)
+    tri = triangles.tolist()
     budget = int(knobs.edge_budget_fraction * graph.num_edges)
     adj = _undirected_adjacency(graph)
+    # (a, mid, b) per linked pair; each is two directed arcs
+    paths: list[tuple[int, int, int]] = []
 
-    new_src: list[int] = []
-    new_dst: list[int] = []
-    new_w: list[float] = []
-    pairs: list[tuple[int, int]] = []
-    weighted = graph.is_weighted
-    offsets, indices, weights = graph.offsets, graph.indices, graph.weights
+    def link(a: int, mid: int, b: int) -> None:
+        _link(adj, tri, a, b)
+        paths.append((a, mid, b))
 
-    def hop_weight(x: int, y: int) -> float:
-        # the lightest x -> y arc of the directed graph, else the lightest
-        # y -> x arc, else 1
-        for s, d in ((x, y), (y, x)):
-            row = slice(offsets[s], offsets[s + 1])
-            hit = indices[row] == d
-            if hit.any():
-                return float(weights[row][hit].min())
-        return 1.0
-
-    def path_weight(a: int, mid: int, b: int) -> float:
-        # §3 gives no weight rule for its added edges (§4's sum rule is
-        # specific to the divergence transform, and the paper itself calls
-        # the choice "often fuzzy").  We use the mean of the two hop
-        # weights: the new sibling edge then genuinely perturbs weighted
-        # algorithms (it can undercut the 2-hop path), which is the source
-        # of this technique's higher measured inaccuracy.
-        if not weighted:
-            return 1.0  # unused: an unweighted output keeps no weights
-        return (hop_weight(a, mid) + hop_weight(mid, b)) / 2.0
-
-    def emit(a: int, b: int, weight: float) -> None:
-        # one logical (undirected) addition = two directed arcs
-        new_src.extend((a, b))
-        new_dst.extend((b, a))
-        if weighted:
-            new_w.extend((weight, weight))
-        pairs.append((a, b))
-        adj[a].add(b)
-        adj[b].add(a)
-
-    added = 0
     lo = max(0.0, knobs.cc_threshold - knobs.boost_band)
 
     # ---- case 1: boost near-threshold nodes over the bar -------------------
     boost_order = np.argsort(-cc)
     for v in boost_order:
-        if added >= budget:
+        if 2 * len(paths) >= budget:
             break
         v = int(v)
         if not (lo <= cc[v] < knobs.cc_threshold):
@@ -183,77 +164,53 @@ def plan_shared_memory(
         if degrees[v] < 2 or degrees[v] > _MAX_ANALYZED_DEGREE:
             continue
         nbrs = sorted(adj[v])
-        # each emitted pair links two of v's neighbours: v's coefficient
-        # is tracked from its link count
-        links = _sibling_links(adj, v)
+        d = len(nbrs)
         # candidate pairs: neighbours of v sharing a common neighbour, not
         # yet adjacent ("preferentially between those neighbors ... that
         # have common neighbors")
-        done = False
-        for i, a in enumerate(nbrs):
-            if done:
+        for a, mid, b in _open_pairs(adj, nbrs):
+            link(a, mid, b)
+            # each linked pair links two of v's neighbours: tri[v] is v's
+            # sibling-link count
+            cc[v] = 2.0 * tri[v] / (d * (d - 1))
+            if cc[v] >= knobs.cc_threshold or 2 * len(paths) >= budget:
                 break
-            for b in nbrs[i + 1 :]:
-                if b in adj[a]:
-                    continue
-                common = adj[a] & adj[b]
-                if not common:
-                    continue
-                mid = min(common)
-                emit(a, b, path_weight(a, mid, b))
-                added += 2
-                links += 1
-                cur = 2.0 * links / (len(nbrs) * (len(nbrs) - 1))
-                cc[v] = cur
-                if cur >= knobs.cc_threshold or added >= budget:
-                    done = True
-                    break
 
     # ---- case 2: thicken already-high clusters ------------------------------
     high = np.nonzero(cc >= knobs.cc_threshold)[0]
     for v in high[np.argsort(-cc[high])]:
-        if added >= budget:
+        if 2 * len(paths) >= budget:
             break
         v = int(v)
         if degrees[v] < 2 or degrees[v] > _MAX_ANALYZED_DEGREE:
             continue
-        nbrs = sorted(adj[v])
-        # sibling with fewest edges to the other siblings
-        sib_links = {
-            a: sum(1 for b in nbrs if b != a and b in adj[a]) for a in nbrs
-        }
-        order = sorted(nbrs, key=lambda a: (sib_links[a], a))
-        # connect the two least-connected siblings if they are a 2-hop pair
-        for i, a in enumerate(order):
-            if added >= budget:
-                break
-            for b in order[i + 1 :]:
-                if b in adj[a]:
-                    continue
-                common = adj[a] & adj[b]
-                if not common:
-                    continue
-                mid = min(common)
-                emit(a, b, path_weight(a, mid, b))
-                added += 2
-                break
-            else:
-                continue
-            break  # one new edge per high-CC node keeps the budget spread
+        # siblings with the fewest edges to the other siblings first
+        sibs = adj[v]
+        order = sorted(sibs, key=lambda a: (len(adj[a] & sibs), a))
+        # connect the two least-connected siblings that are a 2-hop pair;
+        # one new edge per high-CC node keeps the budget spread
+        path = next(_open_pairs(adj, order), None)
+        if path is not None:
+            link(*path)
 
     # ---- rebuild graph with the new (bidirectional) edges -------------------
-    if new_src:
-        src = np.concatenate(
-            [graph.edge_sources().astype(np.int64), np.asarray(new_src, dtype=np.int64)]
-        )
-        dst = np.concatenate(
-            [graph.indices.astype(np.int64), np.asarray(new_dst, dtype=np.int64)]
-        )
-        w = (
-            np.concatenate([graph.weights, np.asarray(new_w)])
-            if weighted
-            else None
-        )
+    if paths:
+        a, mid, b = np.array(paths, dtype=np.int64).T
+        src = np.concatenate([graph.edge_sources(), np.column_stack([a, b]).ravel()])
+        dst = np.concatenate([graph.indices, np.column_stack([b, a]).ravel()])
+        w = None
+        if graph.is_weighted:
+            # §3 gives no weight rule for its added edges (§4's sum rule is
+            # specific to the divergence transform, and the paper itself
+            # calls the choice "often fuzzy").  We use the mean of the two
+            # hop weights: the new sibling edge then genuinely perturbs
+            # weighted algorithms (it can undercut the 2-hop path), which is
+            # the source of this technique's higher measured inaccuracy.  A
+            # hop over an edge the transform linked earlier weighs 1.
+            x, y = np.concatenate([a, mid]), np.concatenate([mid, b])
+            hop = _hop_weights(graph, x, y)
+            mean = (hop[: a.size] + hop[a.size :]) / 2.0
+            w = np.concatenate([graph.weights, np.repeat(mean, 2)])
         out_graph = CSRGraph.from_edges(n, src, dst, w, dedup=True)
         # report the *directed* arc delta actually landed in the CSR
         # (dedup may collapse a few collisions with pre-existing arcs)
@@ -263,12 +220,9 @@ def plan_shared_memory(
         added = 0
 
     # ---- pick clusters under the shared-memory capacity ---------------------
-    # adj is now the output's undirected view: update the input's counts
-    # instead of recounting triangles on the output
-    final_triangles = triangles.copy()
-    _add_closed_triangles(final_triangles, adj, pairs)
+    # adj and tri now describe the output's undirected view: no recount
     final_degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    final_cc = coefficients_from_counts(final_triangles, final_degrees)
+    final_cc = coefficients_from_counts(np.array(tri, dtype=np.int64), final_degrees)
     capacity = device.shared_mem_words
     resident = np.zeros(n, dtype=bool)
     clusters: list[np.ndarray] = []
@@ -290,7 +244,7 @@ def plan_shared_memory(
         n,
         out_graph.edge_sources()[mask].astype(np.int64),
         out_graph.indices[mask].astype(np.int64),
-        out_graph.weights[mask] if weighted else None,
+        out_graph.weights[mask] if graph.is_weighted else None,
     )
 
     # each cluster is a center plus 1-hop neighbours: diameter <= 2 on its

@@ -580,11 +580,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", default=None, type=int)
     args = parser.parse_args(argv)
 
+    # a bad spec, or a spec the server does not match (a graph it does not
+    # load, a connect: server of another scale or seed), is one error line
     try:
-        spec = load_spec(args.spec)
+        report = run_spec(load_spec(args.spec), host=args.host, port=args.port)
     except ServeError as exc:
         parser.error(str(exc))
-    report = run_spec(spec, host=args.host, port=args.port)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     o = report["overall"]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core import shmem
 from repro.core.knobs import SharedMemoryKnobs
 from repro.core.shmem import plan_shared_memory
 from repro.errors import TransformError
@@ -12,6 +16,8 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.properties import clustering_coefficients
 from repro.graphs.validate import assert_valid
 from repro.gpusim.device import DeviceConfig
+from repro.graphs.generators import PAPER_GRAPH_NAMES
+from repro.tune.search import _candidates
 
 
 class TestPlanStructure:
@@ -111,6 +117,65 @@ class TestEdgeAddition:
         assert len(hi.clusters) <= len(lo.clusters)
 
 
+def _plan_and_link_order(monkeypatch, graph, knobs):
+    """The plan, and its new undirected pairs in the order they were linked.
+
+    The rebuild hands ``CSRGraph.from_edges`` (with ``dedup=True``) the
+    input's arcs followed by both arcs of each new pair in link order; a
+    spy on the module's ``CSRGraph`` reads that order off the call.
+    """
+    calls = []
+
+    def from_edges(*args, **kwargs):
+        calls.append((args, kwargs))
+        return CSRGraph.from_edges(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(shmem, "CSRGraph", SimpleNamespace(from_edges=from_edges))
+        plan = plan_shared_memory(graph, knobs)
+    rebuilds = [args for args, kwargs in calls if kwargs.get("dedup")]
+    if not rebuilds:
+        return plan, []
+    (_, src, dst, _), = rebuilds
+    m = graph.num_edges
+    return plan, list(zip(src[m::2].tolist(), dst[m::2].tolist()))
+
+
+def _mean_rule_oracle(graph: CSRGraph, pairs) -> dict[tuple[int, int], float]:
+    """The §3 weight of each new pair, replayed in link order with dicts.
+
+    A pair ``a - b`` linked via ``mid`` (the smallest common neighbour at
+    that moment) weighs the mean of its two hops; a hop weighs as the
+    lightest ``x -> y`` input arc, else the lightest ``y -> x`` one, else 1.
+    """
+    lightest: dict[tuple[int, int], float] = {}
+    adj: dict[int, set[int]] = {v: set() for v in range(graph.num_nodes)}
+    arcs = zip(graph.edge_sources().tolist(), graph.indices.tolist(), graph.weights)
+    for x, y, w in arcs:
+        lightest[x, y] = min(float(w), lightest.get((x, y), math.inf))
+        if x != y:
+            adj[x].add(y)
+            adj[y].add(x)
+
+    def hop(x: int, y: int) -> float:
+        return lightest.get((x, y), lightest.get((y, x), 1.0))
+
+    weights = {}
+    for a, b in pairs:
+        mid = min(adj[a] & adj[b])
+        weights[a, b] = weights[b, a] = (hop(a, mid) + hop(mid, b)) / 2.0
+        adj[a].add(b)
+        adj[b].add(a)
+    return weights
+
+
+def _added_arc_weights(graph: CSRGraph, out: CSRGraph) -> dict[tuple[int, int], float]:
+    """Weight per arc of ``out`` whose endpoints ``graph`` does not link."""
+    present = set(zip(graph.edge_sources().tolist(), graph.indices.tolist()))
+    arcs = zip(out.edge_sources().tolist(), out.indices.tolist(), out.weights.tolist())
+    return {(x, y): w for x, y, w in arcs if (x, y) not in present}
+
+
 class TestWeightedEdges:
     def test_new_edge_weights_are_hop_means(self, suite_tiny):
         g = suite_tiny["rmat"]
@@ -122,3 +187,39 @@ class TestWeightedEdges:
         # new weights are means of two original weights: within range
         assert plan.graph.weights.min() >= g.weights.min()
         assert plan.graph.weights.max() <= g.weights.max()
+
+    def _check(self, monkeypatch, graph, knobs):
+        # every added arc weighs exactly what the §3 mean rule gives
+        plan, pairs = _plan_and_link_order(monkeypatch, graph, knobs)
+        want = _mean_rule_oracle(graph, pairs)
+        assert _added_arc_weights(graph, plan.graph) == want
+        return want
+
+    def test_added_weights_follow_mean_rule_on_hand_built_hops(self, monkeypatch):
+        # centre 9 with neighbours 1, 2, 3 and the sibling edge 1-2.
+        # (1, 3) is linked via 9: hop 1->9 has parallel arcs 5 and 3 (and
+        # a reverse arc 4), hop 9->3 exists only as 3->9.  (2, 3) is then
+        # linked via 1: hop 2->1 exists only as 1->2, and hop 1->3 runs
+        # over the edge just linked, which no input arc holds.
+        src = [1, 1, 9, 3, 9, 1]
+        dst = [9, 9, 1, 9, 2, 2]
+        w = [5.0, 3.0, 4.0, 6.0, 8.0, 2.0]
+        g = CSRGraph.from_edges(10, np.array(src), np.array(dst), np.array(w))
+        knobs = SharedMemoryKnobs(
+            cc_threshold=0.9, boost_band=1.0, edge_budget_fraction=1.0
+        )
+        want = self._check(monkeypatch, g, knobs)
+        assert want == {
+            (1, 3): (3.0 + 6.0) / 2, (3, 1): (3.0 + 6.0) / 2,
+            (2, 3): (2.0 + 1.0) / 2, (3, 2): (2.0 + 1.0) / 2,
+        }
+
+    @pytest.mark.parametrize("name", PAPER_GRAPH_NAMES)
+    def test_added_weights_follow_mean_rule_on_tiny_suite(
+        self, monkeypatch, suite_tiny, name
+    ):
+        g = suite_tiny[name]
+        assert g.is_weighted
+        self._check(monkeypatch, g, SharedMemoryKnobs())
+        for thr in _candidates(g, "shmem"):
+            self._check(monkeypatch, g, SharedMemoryKnobs(cc_threshold=thr))

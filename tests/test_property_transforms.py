@@ -11,11 +11,7 @@ from repro.core.divergence import normalize_degrees
 from repro.core.knobs import CoalescingKnobs, DivergenceKnobs
 from repro.core.knobs import SharedMemoryKnobs
 from repro.core.renumber import renumber
-from repro.core.shmem import (
-    _add_closed_triangles,
-    _undirected_adjacency,
-    plan_shared_memory,
-)
+from repro.core.shmem import _link, _undirected_adjacency, plan_shared_memory
 from repro.graphs.csr import CSRGraph
 from repro.graphs.properties import _triangle_counts, coefficients_from_counts
 from repro.gpusim.device import DeviceConfig
@@ -115,15 +111,16 @@ def _with_pairs(graph: CSRGraph, pairs) -> CSRGraph:
 
 
 def _incremental(graph: CSRGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The §3 update: the input's counts plus the triangles ``pairs`` close."""
+    """The §3 update: the input's counts plus the triangles ``pairs`` close,
+    each pair linked in order."""
     adj = _undirected_adjacency(graph)
+    triangles = _triangle_counts(graph)[0].tolist()
     for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    triangles, _ = _triangle_counts(graph)
-    triangles = triangles.copy()
-    _add_closed_triangles(triangles, adj, list(pairs))
-    return triangles, np.array([len(s) for s in adj], dtype=np.int64)
+        _link(adj, triangles, a, b)
+    return (
+        np.array(triangles, dtype=np.int64),
+        np.array([len(s) for s in adj], dtype=np.int64),
+    )
 
 
 def _assert_update_equals_recount(graph: CSRGraph, pairs) -> np.ndarray:

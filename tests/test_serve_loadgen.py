@@ -261,6 +261,21 @@ class TestRunSpec:
         with pytest.raises(ServeError, match="not loaded"):
             run_spec(spec)
 
+    def test_main_reports_spec_server_mismatch_in_one_line(self, tmp_path, capsys):
+        spec = dict(BASE_SPEC, requests=4)
+        spec["queries"] = [{"op": "sssp", "graph": "nope", "ratio": 1.0}]
+        out = tmp_path / "BENCH_SERVE.json"
+        with pytest.raises(SystemExit) as exc:
+            loadgen.main(["--spec", str(write_spec(tmp_path, spec)), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "python -m repro bench serve: error: "
+            "spec queries graph 'nope' not loaded on the server"
+        )
+        assert not out.exists()
+
     def test_main_writes_report(self, tmp_path, capsys):
         spec = dict(BASE_SPEC)
         spec["requests"] = 8
