@@ -148,6 +148,7 @@ class Runner:
             device,
             order=plan.order,
             resident_mask=plan.resident_mask,
+            full_costs=plan.full_sweep_costs(device),
         )
         # flat edge arrays are shared across Runners on the same graph
         # (a harness sweep builds one Runner per algorithm × source)

@@ -101,7 +101,9 @@ class _TigrContext(ExecutionContext):
     Only :meth:`_price_sweep` is overridden: the full-sweep memo,
     charging, batch charging and the ledger are the base context's, so
     every Tigr sweep is priced the same way whichever path charges it,
-    and each full sweep of the virtual graph is priced once.
+    and each full sweep of the virtual graph is priced once per context.
+    The memo is the context's own: the plan's memo prices the plan's
+    graph, which this context re-maps onto the split.
     """
 
     def __init__(

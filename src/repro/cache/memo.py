@@ -49,7 +49,6 @@ from .store import MISS, DiskStore
 __all__ = [
     "CacheConfig",
     "active",
-    "clear_resident",
     "configure",
     "disable",
     "enabled",
@@ -133,14 +132,6 @@ def disable() -> None:
     global _active, _env_checked
     _active = None
     _env_checked = True
-
-
-def clear_resident() -> None:
-    """Empty the memory tier the always-on stages use with caching off.
-
-    Table 5 times each transform from a cold analytics pass this way.
-    """
-    _resident.memory.clear()
 
 
 @contextmanager

@@ -54,6 +54,22 @@ class ExecutionPlan:
     _shmem: SharedMemoryPlan | None = field(default=None, repr=False)
     _divergence: DivergencePlan | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        # not a field: dataclasses.replace, ==, save_plan and the cache
+        # key never see it, and a copy or a loaded plan starts empty
+        self._full_sweep_costs: dict[DeviceConfig, dict] = {}
+
+    def full_sweep_costs(self, device: DeviceConfig) -> dict:
+        """This plan's full-sweep memo on ``device``.
+
+        Every :class:`~repro.algorithms.common.Runner` on the plan hands
+        it to its :class:`~repro.gpusim.kernel.ExecutionContext`, so each
+        full sweep is priced once per plan and device rather than once
+        per solve.  Its few keys name a subgraph by fingerprint; it holds
+        no graph.
+        """
+        return self._full_sweep_costs.setdefault(device, {})
+
     # ------------------------------------------------------------------
     def lift(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Map original-space attribute values into execution space."""

@@ -64,8 +64,8 @@ class SharedMemoryPlan:
     local_iterations:
         the ``t`` each cluster iterates inside shared memory.
     edges_added:
-        directed arcs actually added to the CSR (each logical sibling
-        connection contributes two, minus dedup collisions).
+        directed arcs added to the CSR (each linked sibling pair
+        contributes two).
     cc:
         post-transform clustering coefficients (for inspection/tests).
     """
@@ -211,10 +211,11 @@ def plan_shared_memory(
             hop = _hop_weights(graph, x, y)
             mean = (hop[: a.size] + hop[a.size :]) / 2.0
             w = np.concatenate([graph.weights, np.repeat(mean, 2)])
-        out_graph = CSRGraph.from_edges(n, src, dst, w, dedup=True)
-        # report the *directed* arc delta actually landed in the CSR
-        # (dedup may collapse a few collisions with pre-existing arcs)
-        added = out_graph.num_edges - graph.num_edges
+        # no dedup: a linked pair was unlinked in the undirected view, so
+        # its arcs collide with no input arc and no other added arc, and
+        # the input's own parallel arcs stay
+        out_graph = CSRGraph.from_edges(n, src, dst, w)
+        added = 2 * len(paths)
     else:
         out_graph = graph
         added = 0

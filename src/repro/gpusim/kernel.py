@@ -26,7 +26,12 @@ batch.  It owns:
   :class:`~repro.gpusim.costmodel.SweepCost` thereafter, so the ledger
   is bit-identical to re-pricing while SSSP/WCC fixed points, PageRank,
   MST rounds and Baseline-I kernels stop paying the cost model on every
-  iteration.
+  iteration.  A substituted subgraph is keyed by its content
+  (:meth:`~repro.graphs.csr.CSRGraph.fingerprint`), so the memo pins no
+  graph.  The memo may outlive the context: the algorithm runner hands
+  in its plan's memo for the device
+  (:meth:`~repro.core.pipeline.ExecutionPlan.full_sweep_costs`), so each
+  full sweep is priced once per plan and device, not once per solve.
 """
 
 from __future__ import annotations
@@ -45,7 +50,15 @@ __all__ = ["ExecutionContext"]
 
 
 class ExecutionContext:
-    """A simulated kernel stream bound to one graph and one device."""
+    """A simulated kernel stream bound to one graph and one device.
+
+    ``full_costs`` is a full-sweep memo to share.  Every context that
+    shares one must be built with the same graph, device, processing
+    order and resident mask (one :class:`~repro.core.pipeline.ExecutionPlan`
+    on one device); without it the context keeps its own.  Two threads
+    that miss the same key at once both price it and store equal frozen
+    costs, so a shared memo needs no lock.
+    """
 
     #: edge records per cost-model call in :meth:`price_batch`
     CHUNK_RECORDS = 32768
@@ -57,6 +70,7 @@ class ExecutionContext:
         *,
         order: np.ndarray | None = None,
         resident_mask: np.ndarray | None = None,
+        full_costs: dict[tuple, SweepCost] | None = None,
     ) -> None:
         self.graph = graph
         self.device = device
@@ -91,10 +105,9 @@ class ExecutionContext:
                 raise SimulationError("resident_mask length must equal num_nodes")
         self.resident_mask = resident_mask
         self.metrics = SimMetrics(device=device)
-        # full-sweep memo: (id(subgraph), all_shared, partition) ->
-        # (subgraph, cost).  Holding the subgraph keeps it alive, so its
-        # id() cannot be recycled while its key is in the memo.
-        self._full_costs: dict[tuple, tuple[CSRGraph | None, SweepCost]] = {}
+        # full-sweep memo: (subgraph fingerprint or None, all_shared,
+        # partition) -> cost
+        self._full_costs = {} if full_costs is None else full_costs
         # cached instruments: record() runs once per sweep, so skip the
         # registry lookup on the hot path
         self._sweep_counter = obs_metrics.counter("solve.sweeps")
@@ -146,7 +159,9 @@ class ExecutionContext:
         priced once per ``(subgraph, all_shared, partition)`` and the
         same frozen cost is returned on every later call: its inputs
         (graph, device, processing order, resident mask) are fixed when
-        the context is built.  Frontier sweeps are priced on every call.
+        the context is built.  The memo is the context's own or the one
+        handed in at construction; ``subgraph`` is keyed by its
+        fingerprint.  Frontier sweeps are priced on every call.
 
         ``subgraph`` substitutes a different CSR structure (same node-id
         space) for this sweep — the §3 runner uses it to charge
@@ -171,16 +186,20 @@ class ExecutionContext:
         """
         if active is not None:
             return self._price_sweep(active, all_shared, subgraph, expansion, partition)
-        key = (id(subgraph), all_shared, partition)
-        memo = self._full_costs.get(key)
-        if memo is None:
+        key = (
+            None if subgraph is None else subgraph.fingerprint(),
+            all_shared,
+            partition,
+        )
+        cost = self._full_costs.get(key)
+        if cost is None:
             cost = self._price_sweep(None, all_shared, subgraph, expansion, partition)
-            self._full_costs[key] = (subgraph, cost)
+            self._full_costs[key] = cost
             self._memo_miss.inc()
             return cost
         self._usable_expansion(self._order, expansion)  # raises on a mismatch
         self._memo_hit.inc()
-        return memo[1]
+        return cost
 
     def _price_sweep(
         self,

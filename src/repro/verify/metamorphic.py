@@ -167,25 +167,17 @@ def check_knob_monotonicity(
             )
         )
 
-    # shmem's raw edges_added can go *negative* on multigraphs (its output
-    # is deduplicated), so the monotone edit distance is the number of new
-    # distinct (src, dst) pairs, not the edge-count delta
-    def _new_pairs(budget: float) -> int:
-        out = plan_shared_memory(
-            graph, SharedMemoryKnobs(edge_budget_fraction=budget), device
-        ).graph
-        key_in = graph.edge_sources().astype(np.int64) * graph.num_nodes
-        key_in = np.unique(key_in + graph.indices)
-        key_out = out.edge_sources().astype(np.int64) * graph.num_nodes
-        key_out = np.unique(key_out + out.indices)
-        return int(np.setdiff1d(key_out, key_in, assume_unique=True).size)
-
-    added = [_new_pairs(b) for b in shmem_budgets]
+    added = [
+        plan_shared_memory(
+            graph, SharedMemoryKnobs(edge_budget_fraction=b), device
+        ).edges_added
+        for b in shmem_budgets
+    ]
     if any(a > b for a, b in zip(added, added[1:])):
         v.append(
             Violation(
                 "metamorphic.monotone.shmem",
-                f"new distinct pairs {added} not monotone in edge_budget_fraction"
+                f"edges_added {added} not monotone in edge_budget_fraction"
                 f" {list(shmem_budgets)}",
             )
         )

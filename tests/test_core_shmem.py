@@ -120,9 +120,10 @@ class TestEdgeAddition:
 def _plan_and_link_order(monkeypatch, graph, knobs):
     """The plan, and its new undirected pairs in the order they were linked.
 
-    The rebuild hands ``CSRGraph.from_edges`` (with ``dedup=True``) the
-    input's arcs followed by both arcs of each new pair in link order; a
-    spy on the module's ``CSRGraph`` reads that order off the call.
+    The rebuild hands ``CSRGraph.from_edges`` the input's arcs followed
+    by both arcs of each new pair in link order; a spy on the module's
+    ``CSRGraph`` reads that order off the call.  The last call builds the
+    cluster graph, so a rebuild is any call before it.
     """
     calls = []
 
@@ -133,7 +134,7 @@ def _plan_and_link_order(monkeypatch, graph, knobs):
     with monkeypatch.context() as patched:
         patched.setattr(shmem, "CSRGraph", SimpleNamespace(from_edges=from_edges))
         plan = plan_shared_memory(graph, knobs)
-    rebuilds = [args for args, kwargs in calls if kwargs.get("dedup")]
+    rebuilds = [args for args, _ in calls[:-1]]
     if not rebuilds:
         return plan, []
     (_, src, dst, _), = rebuilds
@@ -193,7 +194,7 @@ class TestWeightedEdges:
         plan, pairs = _plan_and_link_order(monkeypatch, graph, knobs)
         want = _mean_rule_oracle(graph, pairs)
         assert _added_arc_weights(graph, plan.graph) == want
-        return want
+        return plan, want
 
     def test_added_weights_follow_mean_rule_on_hand_built_hops(self, monkeypatch):
         # centre 9 with neighbours 1, 2, 3 and the sibling edge 1-2.
@@ -208,11 +209,21 @@ class TestWeightedEdges:
         knobs = SharedMemoryKnobs(
             cc_threshold=0.9, boost_band=1.0, edge_budget_fraction=1.0
         )
-        want = self._check(monkeypatch, g, knobs)
+        plan, want = self._check(monkeypatch, g, knobs)
         assert want == {
             (1, 3): (3.0 + 6.0) / 2, (3, 1): (3.0 + 6.0) / 2,
             (2, 3): (2.0 + 1.0) / 2, (3, 2): (2.0 + 1.0) / 2,
         }
+        # the input's own parallel arcs survive the rebuild, and each
+        # linked pair adds exactly its two arcs
+        assert plan.edges_added == 4
+        assert plan.graph.num_edges == g.num_edges + 4
+        arcs = zip(
+            plan.graph.edge_sources().tolist(),
+            plan.graph.indices.tolist(),
+            plan.graph.weights.tolist(),
+        )
+        assert sorted(w for x, y, w in arcs if (x, y) == (1, 9)) == [3.0, 5.0]
 
     @pytest.mark.parametrize("name", PAPER_GRAPH_NAMES)
     def test_added_weights_follow_mean_rule_on_tiny_suite(

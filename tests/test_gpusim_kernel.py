@@ -244,9 +244,9 @@ class TestFullSweepExpansionCache:
 
 
 class TestFullSweepMemo:
-    """``price`` prices each full-sweep key once per context; every later
-    ``charge(None)`` reuses the same frozen cost, so the ledger and the
-    counters match re-pricing bit for bit."""
+    """``price`` prices each full-sweep key once per memo (a context's
+    own here); every later ``charge(None)`` reuses the same frozen cost,
+    so the ledger and the counters match re-pricing bit for bit."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -378,3 +378,141 @@ class TestFullSweepMemo:
         assert len(calls) == 3
         assert misses.value == m0
         assert ctx.metrics.num_sweeps == 0
+
+
+class TestPlanFullSweepMemo:
+    """A :class:`Runner` shares its plan's memo for its device, so each
+    full sweep is priced once per plan and device, not once per solve,
+    and every ledger equals one priced on a fresh, unshared context."""
+
+    @staticmethod
+    def _misses() -> float:
+        from repro.obs import metrics as obs_metrics
+
+        return obs_metrics.counter("gpusim.full_sweep_memo.miss").value
+
+    @staticmethod
+    def _unshared(plan, device=K40C):
+        """A runner whose context keeps a memo of its own."""
+        from repro.algorithms.common import Runner
+
+        runner = Runner(plan, device)
+        runner.ctx = ExecutionContext(
+            plan.graph, device, order=plan.order, resident_mask=plan.resident_mask
+        )
+        return runner
+
+    @staticmethod
+    def _solve(algo, plan, **kwargs):
+        from repro.algorithms import pagerank, sssp
+
+        if algo == "sssp":
+            return sssp(plan, 0, **kwargs)
+        return pagerank(plan, **kwargs)
+
+    @staticmethod
+    def _ledger(result):
+        import dataclasses
+
+        m = result.metrics
+        return (m.device, m.num_sweeps, dataclasses.astuple(m.total))
+
+    @pytest.mark.parametrize(
+        "technique", ["exact", "coalescing", "shmem", "divergence", "combined"]
+    )
+    @pytest.mark.parametrize("algo", ["sssp", "pagerank"])
+    def test_second_solve_prices_nothing(self, rmat_small, technique, algo):
+        from repro.core.pipeline import build_plan
+
+        plan = build_plan(rmat_small, technique)
+        first = self._solve(algo, plan)
+        m0 = self._misses()
+        second = self._solve(algo, plan)
+        assert self._misses() == m0
+        fresh = self._solve(algo, plan, runner_factory=self._unshared)
+        for got in (first, second):
+            assert self._ledger(got) == self._ledger(fresh)
+            assert got.iterations == fresh.iterations
+            np.testing.assert_array_equal(got.values, fresh.values)
+
+    def test_devices_do_not_share_entries(self, rmat_small):
+        from repro.algorithms import pagerank
+        from repro.core.pipeline import build_plan
+
+        slow = K40C.with_(global_latency=48)
+        plan = build_plan(rmat_small, "exact")
+        pagerank(plan)
+        assert plan.full_sweep_costs(K40C)
+        assert plan.full_sweep_costs(slow) == {}
+        m0 = self._misses()
+        got = pagerank(plan, device=slow)
+        assert self._misses() == m0 + 1
+        want = pagerank(plan, device=slow, runner_factory=self._unshared)
+        assert self._ledger(got) == self._ledger(want)
+        assert got.cycles != pagerank(plan).cycles
+
+    def test_copies_start_empty(self, rmat_small, tmp_path):
+        import dataclasses
+
+        from repro.algorithms import pagerank
+        from repro.core.pipeline import build_plan
+        from repro.core.serialize import load_plan, save_plan
+
+        plan = build_plan(rmat_small, "divergence")
+        pagerank(plan)
+        assert plan.full_sweep_costs(K40C)
+        copy = dataclasses.replace(plan)
+        assert copy == plan
+        assert copy.full_sweep_costs(K40C) == {}
+        save_plan(plan, tmp_path / "plan.npz")
+        loaded = load_plan(tmp_path / "plan.npz")
+        assert loaded.full_sweep_costs(K40C) == {}
+        m0 = self._misses()
+        again = pagerank(loaded)
+        assert self._misses() == m0 + 1
+        assert self._ledger(again) == self._ledger(pagerank(plan))
+
+    def test_tigr_keeps_its_own_memo(self, rmat_small):
+        from repro.baselines import tigr
+        from repro.core.pipeline import build_plan
+
+        plan = build_plan(rmat_small, "exact")
+        tigr.run("pr", plan)
+        tigr.run("sssp", plan)
+        assert plan.full_sweep_costs(K40C) == {}
+
+    def test_threads_on_one_plan_share_identical_ledgers(self, rmat_small):
+        import threading
+
+        from repro.core.pipeline import build_plan
+
+        plan = build_plan(rmat_small, "shmem")
+        barrier = threading.Barrier(4)
+        results = {}
+
+        def solve(k):
+            barrier.wait()
+            results[k] = self._solve(("sssp", "pagerank")[k % 2], plan)
+
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for k in range(4):
+            algo = ("sssp", "pagerank")[k % 2]
+            want = self._solve(algo, plan, runner_factory=self._unshared)
+            assert self._ledger(results[k]) == self._ledger(want)
+            np.testing.assert_array_equal(results[k].values, want.values)
+
+    def test_rebuilt_reverse_view_reuses_its_entry(self, rmat_small):
+        from repro.core.pipeline import build_plan
+        from repro.perf.edgeshare import edge_view_cache
+
+        plan = build_plan(rmat_small, "exact")
+        first = self._solve("sssp", plan, schedule="pull")
+        m0 = self._misses()
+        edge_view_cache().clear()
+        second = self._solve("sssp", plan, schedule="pull")
+        assert self._misses() == m0
+        assert self._ledger(second) == self._ledger(first)

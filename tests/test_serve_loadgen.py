@@ -206,6 +206,41 @@ class TestExactAnswers:
         assert not answers.matches(self.REQUESTS["sssp"], None)
 
 
+class TestPlanScopedPricing:
+    """A hot plan keeps its full-sweep memo across queries: SSSP and
+    PageRank sweep the same exact graph, so however many of them a graph
+    serves, its full sweep is priced once."""
+
+    N = 3
+
+    def test_repeated_queries_price_one_full_sweep(self):
+        from repro.obs import metrics as obs_metrics
+
+        service = GraphService(ServeConfig(scale="tiny", seed=7, self_check=False))
+        requests = [
+            {"op": "sssp", "graph": "rmat", "source": s, "target": 5}
+            for s in range(self.N)
+        ] + [{"op": "pr_topk", "graph": "rmat", "k": 5}] * self.N
+        obs_metrics.reset()
+        try:
+            served = [
+                service.execute(dict(req), Deadline.from_ms(10000))["result"]
+                for req in requests
+            ]
+            text = obs_metrics.prometheus_text()
+        finally:
+            obs_metrics.reset()
+        (miss,) = [
+            float(line.split()[1])
+            for line in text.splitlines()
+            if line.startswith("gpusim_full_sweep_memo_miss_total ")
+        ]
+        assert miss == 1
+        answers = ExactAnswers("tiny", 7)
+        for req, got in zip(requests, json.loads(json.dumps(served))):
+            assert got == answers.expected(req)
+
+
 class TestRunSpec:
     def test_end_to_end_report(self, tmp_path):
         report = run_spec(dict(BASE_SPEC))
