@@ -4,14 +4,14 @@ These never touch the simulator; the tests use them to certify that the
 simulated kernels compute correct values on untransformed graphs, and the
 evaluation harness uses them as the ground truth for the inaccuracy
 metrics (equivalently it could use the exact baseline runs — both paths
-are tested to agree).
+are tested to agree).  scipy and networkx are imported inside each
+oracle, so importing this module (as :mod:`repro.algorithms` does) costs
+the commands nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from ..graphs.builder import to_networkx, to_scipy
 from ..graphs.csr import CSRGraph
@@ -27,6 +27,8 @@ __all__ = [
 
 def exact_sssp(graph: CSRGraph, source: int) -> np.ndarray:
     """Dijkstra distances from ``source`` (scipy); ``inf`` if unreachable."""
+    import scipy.sparse.csgraph as csgraph
+
     mat = to_scipy(graph)
     return csgraph.dijkstra(mat, directed=True, indices=source)
 
@@ -98,6 +100,8 @@ def exact_bc(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
 
 def exact_scc_count(graph: CSRGraph) -> int:
     """Number of strongly connected components (scipy Tarjan)."""
+    import scipy.sparse.csgraph as csgraph
+
     mat = to_scipy(graph)
     count, _labels = csgraph.connected_components(
         mat, directed=True, connection="strong"
@@ -107,6 +111,9 @@ def exact_scc_count(graph: CSRGraph) -> int:
 
 def exact_msf_weight(graph: CSRGraph) -> float:
     """Minimum spanning forest weight on the symmetrized min-weight view."""
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
+
     src = graph.edge_sources().astype(np.int64)
     dst = graph.indices.astype(np.int64)
     w = graph.effective_weights()

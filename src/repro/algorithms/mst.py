@@ -7,13 +7,15 @@ component-parallel, which maps directly onto warp execution.  Each round
 is one charged sweep.
 
 Each round is a fixed number of whole-array steps, with no loop over
-edges: edges are ranked once by (weight, edge id), every component's
-minimum crossing edge is a ``np.minimum.at`` over those ranks, and all
-winners hook at once — the connected components of the winner edges over
-the current roots, each group taking its smallest root.  The order is
-strict, so the winners always form a forest, and every root stays its
-component's minimum node id; the picked edges are reported in ascending
-edge id within a round.
+edges: edges are ranked once by (weight, edge id), and every component's
+minimum crossing edge is a ``np.minimum.at`` over those ranks.  All
+winners then hook at once, the hook-and-compress step of GPU
+connectivity (Hong, Dhulipala and Shun): each root points at the other
+end of its winning edge, the smaller root of a mutual pair points at
+itself, pointer jumping runs to a fixpoint, and each group takes its
+smallest root.  The order is strict, so the winners always form a
+forest, and every root stays its component's minimum node id; the picked
+edges are reported in ascending edge id within a round.
 
 The graph is treated as undirected for MST purposes (edge ``u -> v`` is
 traversable both ways at the same weight; duplicate directions keep the
@@ -27,8 +29,6 @@ the relative difference of forest weights.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..core.pipeline import ExecutionPlan
 from ..errors import AlgorithmError
@@ -56,6 +56,35 @@ def _undirected_min_edges(
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
     return lo[first], hi[first], w[first]
+
+
+def _hook(parent: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The new root of each of ``roots`` once every root hooks onto
+    ``parent[root]``; every other node must point at itself.
+
+    The pointers form a forest plus one mutual pair per tree; the smaller
+    root of each pair becomes the tree's fixpoint.  Pointer jumping halves
+    every path per step, so a forest converges within ceil(log2 n) + 1
+    steps; a pointer cycle longer than 2 never does and raises.
+    ``parent`` is updated in place.
+    """
+    p = parent[roots]
+    mutual = (parent[p] == roots) & (roots < p)
+    p[mutual] = roots[mutual]
+    parent[roots] = p
+    for _ in range(int(np.ceil(np.log2(max(parent.size, 2)))) + 1):
+        q = parent[p]
+        if np.array_equal(q, p):
+            break
+        parent[roots] = p = q
+    else:
+        raise AlgorithmError(
+            f"hook: pointer jumping over {roots.size} roots did not converge; "
+            "the winning edges must form a forest"
+        )
+    smallest = np.full(parent.size, parent.size, dtype=np.int64)
+    np.minimum.at(smallest, p, roots)
+    return smallest[p]
 
 
 def mst(
@@ -113,23 +142,24 @@ def mst(
         best = np.full(n, m, dtype=np.int64)
         np.minimum.at(best, ru, r)
         np.minimum.at(best, rv, r)
-        winners = np.unique(by_rank[best[best < m]])  # ascending edge id
-        # hook every winner at once: each group of roots joined by this
-        # round's winners takes its smallest root as the new root
-        num_groups, group = connected_components(
-            coo_matrix(
-                (np.ones(winners.size), (comp[u[winners]], comp[v[winners]])),
-                shape=(n, n),
-            ),
-            directed=False,
-        )
-        if n - num_groups != winners.size:
+        roots = np.flatnonzero(best < m)
+        picks = by_rank[best[roots]]
+        winners = np.unique(picks)  # ascending edge id
+        # hook every winner at once: each root points at the other end of
+        # its winning edge, and each group takes its smallest root
+        ends_u = comp[u[picks]]
+        parent = np.arange(n, dtype=np.int64)
+        parent[roots] = np.where(ends_u == roots, comp[v[picks]], ends_u)
+        new_root = _hook(parent, roots)
+        merged = int(np.count_nonzero(new_root != roots))
+        if merged != winners.size:
             raise AlgorithmError(
                 f"Borůvka round {rounds}: {winners.size} winning edges "
-                f"merged {n - num_groups} components; they must form a forest"
+                f"merged {merged} components; they must form a forest"
             )
-        _, smallest = np.unique(group, return_index=True)
-        comp = smallest[group][comp]
+        relabel = np.arange(n, dtype=np.int64)
+        relabel[roots] = new_root
+        comp = relabel[comp]
         chosen.append(winners)
 
     picked = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)

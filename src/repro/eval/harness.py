@@ -11,6 +11,8 @@ the same kernel on the Graffix-transformed graph, and report
 
 Exact runs are memoized per (graph, algorithm, baseline, params) so a
 table sweep does not recompute its baseline column for every technique.
+They all run on one exact plan per graph, so the five algorithms share
+that plan's full-sweep prices.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..algorithms.bc import pick_sources
+from ..algorithms.common import plan_for
 from ..baselines import BASELINES
 from ..cache.keys import params_fingerprint
 from ..cache.lru import LRUCache
@@ -74,7 +77,9 @@ class Harness:
     over many graphs would otherwise pin every exact result — values,
     aux arrays, metrics — in memory for the whole run.  Hits and misses
     are counted on the ``harness.exact_cache.{hit,miss}`` metrics (and
-    ``...evict`` when the bound trims the oldest entry).
+    ``...evict`` when the bound trims the oldest entry).  Exact runs
+    share one exact plan per graph fingerprint (:meth:`exact_plan`),
+    kept in an LRU of the same bound.
     """
 
     device: DeviceConfig = K40C
@@ -83,12 +88,15 @@ class Harness:
     seed: int = 0
     exact_cache_size: int = 64
     _exact_cache: LRUCache = field(default=None, repr=False)  # type: ignore[assignment]
+    _exact_plans: LRUCache = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self._exact_cache is None:
             self._exact_cache = LRUCache(
                 self.exact_cache_size, metric_prefix="harness.exact_cache"
             )
+        if self._exact_plans is None:
+            self._exact_plans = LRUCache(self.exact_cache_size)
 
     # ------------------------------------------------------------------
     def _source_for(self, graph: CSRGraph) -> int:
@@ -129,6 +137,19 @@ class Harness:
             params_fingerprint(self._baseline_params(graph)),
         )
 
+    def exact_plan(self, graph: CSRGraph) -> ExecutionPlan:
+        """The exact (identity) plan every exact run on ``graph`` shares.
+
+        One per graph fingerprint, so the baselines' solves on it reuse
+        the plan's full-sweep memo instead of each pricing a fresh plan.
+        """
+        key = graph.fingerprint()
+        plan = self._exact_plans.get(key)
+        if plan is None:
+            plan = plan_for(graph)
+            self._exact_plans.put(key, plan)
+        return plan
+
     def exact_run(self, graph: CSRGraph, algorithm: str, baseline: str):
         """Memoized exact baseline execution.
 
@@ -151,7 +172,7 @@ class Harness:
             "solve.exact_run", algorithm=algorithm, baseline=baseline
         ) as sp:
             result = module.run(
-                algorithm, graph, **self._baseline_params(graph)
+                algorithm, self.exact_plan(graph), **self._baseline_params(graph)
             )
         if sp is not None:
             sp.set(

@@ -2,6 +2,8 @@
 
 Converts to and from :mod:`networkx` and :mod:`scipy.sparse` for the
 exact reference implementations, and relabels nodes with :func:`permute`.
+Both libraries are imported on first use: the commands themselves run on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -9,13 +11,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import GraphFormatError
 from .csr import CSRGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx
+    import scipy.sparse as sp
 
 __all__ = [
     "to_scipy",
@@ -26,7 +28,7 @@ __all__ = [
 ]
 
 
-def to_scipy(graph: CSRGraph) -> sp.csr_matrix:
+def to_scipy(graph: CSRGraph) -> "sp.csr_matrix":
     """Adjacency matrix of ``graph`` as a scipy CSR matrix.
 
     Unweighted edges get weight 1.0.  Parallel edges are summed by scipy's
@@ -38,14 +40,18 @@ def to_scipy(graph: CSRGraph) -> sp.csr_matrix:
     that silently corrupt the immutable-by-convention source graph — and
     invalidate its cached :meth:`~repro.graphs.csr.CSRGraph.fingerprint`.
     """
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         (graph.effective_weights().copy(), graph.indices, graph.offsets),
         shape=(graph.num_nodes, graph.num_nodes),
     )
 
 
-def from_scipy(mat: sp.spmatrix, weighted: bool = True) -> CSRGraph:
+def from_scipy(mat: "sp.spmatrix", weighted: bool = True) -> CSRGraph:
     """Build a :class:`CSRGraph` from any scipy sparse matrix."""
+    import scipy.sparse as sp
+
     m = sp.csr_matrix(mat)
     m.sum_duplicates()
     n = m.shape[0]

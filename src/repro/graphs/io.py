@@ -14,6 +14,7 @@ Two formats:
 from __future__ import annotations
 
 import io as _io
+import math
 import zipfile
 from pathlib import Path
 
@@ -160,10 +161,16 @@ def write_dimacs(graph: CSRGraph, path: str | Path, *, comment: str = "") -> Non
 
 @traced("io.read_dimacs")
 def read_dimacs(path: str | Path) -> CSRGraph:
-    """Parse a DIMACS shortest-path graph (``c``/``p sp``/``a`` lines)."""
+    """Parse a DIMACS shortest-path graph (``c``/``p sp``/``a`` lines).
+
+    Exactly one ``p sp <n> <m>`` header must precede every arc, each arc's
+    endpoints must lie in ``1..n`` and its weight must be finite and
+    non-negative, and the file must hold exactly ``m`` arcs.  Any other
+    input raises :class:`GraphFormatError` naming ``path:line``.
+    """
     path = Path(path)
     fault_point("io", str(path))
-    n: int | None = None
+    header: tuple[int, int, int] | None = None  # (n, m, line)
     src: list[int] = []
     dst: list[int] = []
     wts: list[float] = []
@@ -173,41 +180,59 @@ def read_dimacs(path: str | Path) -> CSRGraph:
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
+            where = f"{path}:{lineno}"
             if parts[0] == "p":
+                if header is not None:
+                    raise GraphFormatError(
+                        f"{where}: second 'p' line (first at line {header[2]})"
+                    )
                 if len(parts) != 4 or parts[1] != "sp":
+                    raise GraphFormatError(f"{where}: expected 'p sp <n> <m>'")
+                try:
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError as exc:
                     raise GraphFormatError(
-                        f"{path}:{lineno}: expected 'p sp <n> <m>'"
+                        f"{where}: 'p sp' counts must be integers"
+                    ) from exc
+                if n < 0 or m < 0:
+                    raise GraphFormatError(
+                        f"{where}: negative count in 'p sp {n} {m}'"
                     )
-                n = int(parts[2])
+                header = (n, m, lineno)
             elif parts[0] == "a":
+                if header is None:
+                    raise GraphFormatError(f"{where}: arc before the 'p sp' line")
                 if len(parts) != 4:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: expected 'a <u> <v> <w>'"
-                    )
+                    raise GraphFormatError(f"{where}: expected 'a <u> <v> <w>'")
                 try:
                     u, v = int(parts[1]) - 1, int(parts[2]) - 1
                     x = float(parts[3])
                 except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: malformed arc line"
-                    ) from exc
+                    raise GraphFormatError(f"{where}: malformed arc line") from exc
                 if u < 0 or v < 0:
+                    raise GraphFormatError(f"{where}: DIMACS node ids are 1-indexed")
+                if max(u, v) >= header[0]:
                     raise GraphFormatError(
-                        f"{path}:{lineno}: DIMACS node ids are 1-indexed"
+                        f"{where}: node id {max(u, v) + 1} exceeds n={header[0]}"
                     )
+                if not math.isfinite(x):
+                    raise GraphFormatError(f"{where}: non-finite arc weight {x}")
                 if x < 0:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: negative arc weight {x:g}"
-                    )
+                    raise GraphFormatError(f"{where}: negative arc weight {x:g}")
                 src.append(u)
                 dst.append(v)
                 wts.append(x)
             else:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: unknown DIMACS record {parts[0]!r}"
+                    f"{where}: unknown DIMACS record {parts[0]!r}"
                 )
-    if n is None:
+    if header is None:
         raise GraphFormatError(f"{path}: missing 'p sp' header")
+    n, m, lineno = header
+    if len(src) != m:
+        raise GraphFormatError(
+            f"{path}:{lineno}: header declares {m} arcs, file has {len(src)}"
+        )
     return CSRGraph.from_edges(
         n,
         np.asarray(src, dtype=np.int64),

@@ -3,8 +3,9 @@
 The shared-memory technique (paper §3) keys off per-node *clustering
 coefficient*; the divergence technique (§4) keys off the degree
 distribution; the renumbering (§2) needs BFS levels; Table 1 reports graph
-statistics.  Everything here is vectorized (scipy.sparse matrix products
-for triangle counting, frontier BFS in numpy).
+statistics.  Everything here is vectorized numpy: triangles are counted
+by checking each wedge of a degree-oriented edge list against the sorted
+edge keys, BFS expands whole frontiers.
 
 Each graph's analytics are computed once per process: the public entry
 points memoize on the graph fingerprint in :mod:`repro.cache`'s memory
@@ -19,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..cache import memoize_arrays, memoize_json
-from .builder import to_scipy
 from .csr import CSRGraph
 
 __all__ = [
@@ -62,8 +62,9 @@ def triangle_counts(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
 
     The integer inputs of :func:`coefficients_from_counts`: the §3
     transform updates them after adding edges instead of recounting.
-    Triangles come from ``diag(A^3) / 2`` on the binarized symmetric
-    adjacency matrix.  Memoized on the graph fingerprint; read-only.
+    Each triangle is found once, as a wedge of the edge list oriented by
+    (degree, id) whose closing edge is present, and adds one to each of
+    its corners.  Memoized on the graph fingerprint; read-only.
     """
     return memoize_arrays(
         "analytics.triangle_counts",
@@ -75,15 +76,47 @@ def triangle_counts(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+#: wedge records checked per block of :func:`_triangle_counts`; bounds the
+#: temporary arrays (a few MB) however many wedges the graph has
+_WEDGE_BLOCK = 1 << 16
+
+
 def _triangle_counts(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     und = graph.to_undirected()
-    a = to_scipy(und)
-    a.data[:] = 1.0
-    # closed 2-walks via A @ A, then row-wise dot with A's pattern; the
-    # float sums are exact integers, two per triangle
-    a2 = (a @ a).tocsr()
-    closed = np.asarray(a2.multiply(a).sum(axis=1)).ravel()
-    return closed.astype(np.int64) // 2, np.diff(und.offsets).astype(np.int64)
+    n = und.num_nodes
+    deg = np.diff(und.offsets).astype(np.int64)
+    # orient every undirected edge from lower to higher (degree, id): each
+    # triangle {u, v, w} with u < v < w in that order is then found once,
+    # as the wedge u -> v -> w closed by the oriented edge u -> w
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n, dtype=np.int64)
+    src = und.edge_sources().astype(np.int64)
+    dst = und.indices.astype(np.int64)
+    up = rank[src] < rank[dst]
+    tail, head = src[up], dst[up]  # still sorted by (tail, head)
+    keys = tail * n + head
+    out_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=out_off[1:])
+    wedges = out_off[head + 1] - out_off[head]  # out(head) per edge
+    ends = np.cumsum(wedges)
+    triangles = np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < tail.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _WEDGE_BLOCK, "right")), lo + 1)
+        count = wedges[lo:hi]
+        u = np.repeat(tail[lo:hi], count)
+        v = np.repeat(head[lo:hi], count)
+        w = head[np.repeat(out_off[head[lo:hi]], count) + ragged_arange(count)]
+        probe = u * n + w
+        at = np.searchsorted(keys, probe)
+        at[at == keys.size] = 0
+        hit = keys[at] == probe
+        triangles += np.bincount(
+            np.concatenate([u[hit], v[hit], w[hit]]), minlength=n
+        )
+        lo = hi
+    return triangles, deg
 
 
 def coefficients_from_counts(triangles: np.ndarray, degrees: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ convention as :func:`repro.graphs.builder.permute`).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from ..errors import GraphFormatError
 from .builder import permute, to_scipy
@@ -60,6 +59,8 @@ def degree_sort_order(graph: CSRGraph, descending: bool = True) -> np.ndarray:
 
 def rcm_order(graph: CSRGraph) -> np.ndarray:
     """Reverse Cuthill-McKee on the symmetrized structure (scipy)."""
+    import scipy.sparse.csgraph as csgraph
+
     und = graph.to_undirected()
     mat = to_scipy(und)
     mat.data[:] = 1.0

@@ -222,8 +222,9 @@ class TestMSTTieHeavy:
         assert _same_partition(res.values.astype(np.int64), ref_labels)
 
     def test_merge_check_raises_when_winners_close_a_cycle(self, monkeypatch):
-        """The per-round forest check is a guard, not dead code: a merge
-        step that merges fewer components than it has winners raises."""
+        """The per-round forest check is a guard, not dead code: a hook
+        that merges fewer components than it has winners raises (without
+        the guard this mst would finish, one round late)."""
         import importlib
 
         from repro.errors import AlgorithmError
@@ -231,11 +232,38 @@ class TestMSTTieHeavy:
         # the package re-exports the function under the module's name
         mst_mod = importlib.import_module("repro.algorithms.mst")
 
-        def no_merges(matrix, directed):
-            n = matrix.shape[0]
-            return n, np.arange(n)
+        real_hook = mst_mod._hook
+        rounds = []
 
-        monkeypatch.setattr(mst_mod, "connected_components", no_merges)
+        def first_round_merges_nothing(parent, roots):
+            rounds.append(roots.size)
+            return roots.copy() if len(rounds) == 1 else real_hook(parent, roots)
+
+        monkeypatch.setattr(mst_mod, "_hook", first_round_merges_nothing)
         g = CSRGraph.from_edges(3, [0, 1], [1, 2], [1.0, 1.0])
         with pytest.raises(AlgorithmError, match="forest"):
             mst(g)
+
+    @pytest.mark.parametrize("cycle", [3, 5, 6, 7])
+    def test_hook_raises_when_jumping_cannot_converge(self, cycle):
+        """Winners that closed a pointer cycle longer than a mutual pair
+        would never reach a fixpoint; the bounded jumping raises."""
+        from repro.algorithms.mst import _hook
+        from repro.errors import AlgorithmError
+
+        n = cycle + 2
+        parent = np.arange(n, dtype=np.int64)
+        roots = np.arange(cycle, dtype=np.int64)
+        parent[roots] = (roots + 1) % cycle
+        with pytest.raises(AlgorithmError, match="converge"):
+            _hook(parent, roots)
+
+    def test_hook_groups_take_their_smallest_root(self):
+        """Two trees hooked in one round: 4 -> 2 <-> 5 <- 7 and 1 <-> 6;
+        each group relabels to its smallest root."""
+        from repro.algorithms.mst import _hook
+
+        parent = np.arange(8, dtype=np.int64)
+        roots = np.array([1, 2, 4, 5, 6, 7], dtype=np.int64)
+        parent[roots] = [6, 5, 2, 2, 1, 5]
+        assert _hook(parent, roots).tolist() == [1, 2, 2, 2, 1, 2]

@@ -1,10 +1,11 @@
 """Cold start: each command imports only what it runs.
 
 Every check runs in a fresh interpreter, because the pytest process has
-long since imported everything.  ``scipy.stats`` (about 0.8 CPU s) is
-imported only by the agreement report, ``repro.verify`` only by serve and
-the ``verify`` command, and the top-level ``repro`` package loads its
-subpackages on first use.
+long since imported everything.  The commands run on numpy alone: scipy
+and networkx are imported only by the exact oracles, the RCM reordering
+and the agreement report's ``scipy.stats`` (about 0.8 CPU s).
+``repro.verify`` is imported only by serve and the ``verify`` command,
+and the top-level ``repro`` package loads its subpackages on first use.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ def fresh(code: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def oracle_libraries(modules) -> list[str]:
+    return sorted(m for m in modules if m.split(".")[0] in ("scipy", "networkx"))
+
+
 def loaded_after(module: str) -> set[str]:
     return set(
         fresh(
@@ -49,14 +54,65 @@ def loaded_after(module: str) -> set[str]:
 def test_offline_commands_skip_stats_and_verify(module):
     loaded = loaded_after(module)
     assert module in loaded
-    assert "scipy.stats" not in loaded
+    assert oracle_libraries(loaded) == []
     assert not {m for m in loaded if m.startswith("repro.verify")}
+
+
+def test_solving_loads_no_oracle_library():
+    """A shmem plan (triangle counts), an MST solve (the Borůvka hook)
+    and one served query per op run without scipy or networkx."""
+    out = fresh(
+        """
+import json, sys
+from repro.algorithms.mst import mst
+from repro.core.pipeline import build_plan
+from repro.graphs.generators import heavy_tail_social
+from repro.serve.protocol import QUERY_OPS
+from repro.serve.server import ReproServer
+from repro.serve.service import ServeConfig
+
+mst(build_plan(heavy_tail_social(200, seed=3), "shmem"))
+server = ReproServer(ServeConfig(scale="tiny", workers=1))
+queries = {
+    "sssp": {"op": "sssp", "graph": "rmat", "source": 0},
+    "pr_topk": {"op": "pr_topk", "graph": "rmat", "k": 5},
+    "bc_node": {"op": "bc_node", "graph": "rmat", "node": 3},
+}
+status = {op: server.handle_request(queries[op])["status"] for op in QUERY_OPS}
+print(json.dumps({"status": status, "modules": sorted(sys.modules)}))
+"""
+    )
+    assert set(out["status"].values()) == {"ok"}, out["status"]
+    assert oracle_libraries(out["modules"]) == []
+
+
+def test_tune_and_tables_import_nothing_while_running():
+    """Each command's imports cover what it runs: a quick tune and
+    Tables 6-8 load no further repro module, and no scipy or networkx."""
+    out = fresh(
+        """
+import json, sys
+from repro.eval import tables
+from repro.tune.search import run_tune
+
+before = set(sys.modules)
+run_tune(quick=True)
+runner = tables.TableRunner(scale="tiny")
+for table in (tables.table6_coalescing, tables.table7_shmem,
+              tables.table8_divergence):
+    table(runner)
+print(json.dumps({"added": sorted(set(sys.modules) - before)}))
+"""
+    )
+    added = out["added"]
+    assert [m for m in added if m.split(".")[0] == "repro"] == []
+    assert oracle_libraries(added) == []
 
 
 def test_server_loads_invariants_not_verify_cli():
     loaded = loaded_after("repro.serve.server")
     assert "repro.verify.invariants" in loaded
-    assert "scipy.stats" not in loaded
+    assert oracle_libraries(loaded) == []
     assert "repro.verify.cli" not in loaded
 
 

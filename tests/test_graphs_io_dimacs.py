@@ -74,3 +74,38 @@ class TestDimacs:
         p.write_text("p sp 2 1\na one 2 3\n")
         with pytest.raises(GraphFormatError):
             read_dimacs(p)
+
+
+class TestDimacsHeaderErrors:
+    """Malformed headers and arc counts raise GraphFormatError naming the
+    offending ``path:line``, never a bare ValueError or a silent load."""
+
+    @pytest.mark.parametrize(
+        "text, line, match",
+        [
+            ("p sp x 2\na 1 2 3\n", 1, "integers"),
+            ("p sp -3 0\n", 1, "negative count"),
+            ("p sp 2 5\na 1 2 3\n", 1, "declares 5 arcs, file has 1"),
+            ("p sp 2 1\np sp 3 1\na 1 2 3\n", 2, "second 'p' line"),
+            ("a 1 2 3\np sp 2 1\n", 1, "arc before"),
+            ("p sp 2 1\na 1 2 nan\n", 2, "non-finite"),
+            ("p sp 2 1\na 1 2 inf\n", 2, "non-finite"),
+            ("c header\np sp 2 1\na 1 3 1\n", 3, "exceeds n=2"),
+        ],
+        ids=[
+            "non-integer-n",
+            "negative-n",
+            "arc-count-mismatch",
+            "second-header",
+            "arc-before-header",
+            "nan-weight",
+            "inf-weight",
+            "endpoint-beyond-n",
+        ],
+    )
+    def test_rejected_with_location(self, tmp_path, text, line, match):
+        p = tmp_path / "g.gr"
+        p.write_text(text)
+        with pytest.raises(GraphFormatError, match=match) as info:
+            read_dimacs(p)
+        assert str(info.value).startswith(f"{p}:{line}: ")

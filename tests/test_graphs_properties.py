@@ -5,6 +5,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import AlgorithmError
 from repro.graphs.builder import to_networkx
@@ -17,7 +19,51 @@ from repro.graphs.properties import (
     estimate_diameter,
     gini_of_degrees,
     graph_stats,
+    triangle_counts,
 )
+
+
+@st.composite
+def multigraphs(draw):
+    """Arc lists as loaders see them before any dedup: self-loops,
+    parallel arcs in both directions, isolated nodes, plus an optional
+    clique and star so dense corners and hubs occur often."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node), max_size=80))
+    if arcs:
+        back = draw(st.lists(st.sampled_from(arcs), max_size=20))
+        arcs += [(v, u) for u, v in back]
+    clique = draw(st.lists(node, max_size=8, unique=True))
+    arcs += [(u, v) for u in clique for v in clique if u < v]
+    hub = draw(node)
+    arcs += [(hub, v) for v in draw(st.lists(node, max_size=12))]
+    src = np.array([u for u, _ in arcs], dtype=np.int64)
+    dst = np.array([v for _, v in arcs], dtype=np.int64)
+    return CSRGraph.from_edges(n, src, dst)
+
+
+class TestTriangleCountsOracle:
+    @given(g=multigraphs())
+    def test_matches_networkx_triangles(self, g):
+        und = nx.Graph()
+        und.add_nodes_from(range(g.num_nodes))
+        und.add_edges_from(zip(g.edge_sources().tolist(), g.indices.tolist()))
+        triangles, degrees = triangle_counts(g)
+        theirs = nx.triangles(und)
+        assert triangles.dtype == degrees.dtype == np.int64
+        assert triangles.tolist() == [theirs[v] for v in range(g.num_nodes)]
+        assert degrees.tolist() == [
+            len(set(und[v]) - {v}) for v in range(g.num_nodes)
+        ]
+
+    def test_clique_and_star(self):
+        k5 = [(u, v) for u in range(5) for v in range(5) if u != v]
+        spokes = [(5, v) for v in range(6, 10)]
+        src, dst = zip(*(k5 + spokes))
+        triangles, degrees = triangle_counts(CSRGraph.from_edges(11, src, dst))
+        assert triangles.tolist() == [6] * 5 + [0] * 6
+        assert degrees.tolist() == [4] * 5 + [4, 1, 1, 1, 1, 0]
 
 
 class TestClusteringCoefficients:
