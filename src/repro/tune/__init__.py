@@ -7,12 +7,13 @@ keeping a cheap exact signal alive alongside the approximate sweeps.
 This package supplies both halves:
 
 * :mod:`repro.tune.proxies` — the cheap per-iteration error proxies
-  (replica disagreement, residual mass, frontier mismatch against a
-  sampled exact sweep);
+  (residual mass and frontier mismatch against a sampled exact sweep,
+  which the controller reads, and replica disagreement);
 * :mod:`repro.tune.controller` — :class:`AdaptiveController`, a
   :class:`~repro.algorithms.common.Runner` that steers the knobs'
-  runtime counterparts against an :class:`ErrorBudget`, plugged into
-  every algorithm through the existing ``runner_factory`` seam;
+  runtime counterparts against an :class:`ErrorBudget` through the
+  runner's own fixed-point seams, plugged into every algorithm through
+  the existing ``runner_factory`` seam;
 * :mod:`repro.tune.search` — the offline auto-tuner behind
   ``python -m repro tune``: per graph family it searches the
   knob × schedule space, layers the controller on the winner, caches

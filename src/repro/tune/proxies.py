@@ -1,9 +1,11 @@
 """Cheap per-iteration error proxies for the adaptive controller.
 
 The controller cannot afford the paper's inaccuracy metric (it needs the
-exact answer) mid-solve, so it steers on three proxies that are cheap
+exact answer) mid-solve, so it turns to proxies that are cheap
 relative to a global sweep and correlate with the drift each knob
-injects:
+injects.  It steers on residual mass and frontier mismatch; replica
+disagreement is only meaningful before a confluence merge, and the
+controller observes each sweep after it (where the spread is 0):
 
 * **replica disagreement** — the normalized spread of attribute values
   inside each Graffix replica group, *before* the next confluence merge
