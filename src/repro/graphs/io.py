@@ -35,6 +35,19 @@ __all__ = [
 ]
 
 
+#: the most nodes a graph can have: CSRGraph stores node ids as int32
+MAX_NODES = 2**31
+
+
+def _weight_text(x: float) -> str:
+    """``x`` as the shortest text that reads back to the same float.
+
+    Integral weights keep their integer form (``3``, not ``3.0``), as
+    DIMACS road files write them.
+    """
+    return repr(x).removesuffix(".0")
+
+
 @traced("io.write_edge_list")
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
     """Write ``graph`` as a SNAP-style text edge list."""
@@ -53,7 +66,7 @@ def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
                 fh.write(f"{s} {d}\n")
         else:
             for s, d, x in zip(srcs.tolist(), graph.indices.tolist(), w.tolist()):
-                fh.write(f"{s} {d} {x:g}\n")
+                fh.write(f"{s} {d} {_weight_text(x)}\n")
 
 
 @traced("io.read_edge_list")
@@ -156,7 +169,7 @@ def write_dimacs(graph: CSRGraph, path: str | Path, *, comment: str = "") -> Non
             fh.write(f"c {comment}\n")
         fh.write(f"p sp {graph.num_nodes} {graph.num_edges}\n")
         for s_, d, x in zip(srcs.tolist(), graph.indices.tolist(), w.tolist()):
-            fh.write(f"a {s_ + 1} {d + 1} {x:g}\n")
+            fh.write(f"a {s_ + 1} {d + 1} {_weight_text(x)}\n")
 
 
 @traced("io.read_dimacs")
@@ -197,6 +210,11 @@ def read_dimacs(path: str | Path) -> CSRGraph:
                 if n < 0 or m < 0:
                     raise GraphFormatError(
                         f"{where}: negative count in 'p sp {n} {m}'"
+                    )
+                if n > MAX_NODES:
+                    raise GraphFormatError(
+                        f"{where}: n={n} exceeds the {MAX_NODES} node limit"
+                        " of int32 node ids"
                     )
                 header = (n, m, lineno)
             elif parts[0] == "a":

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.io import (
     dumps,
     load_npz,
@@ -28,6 +29,15 @@ class TestEdgeList:
         write_edge_list(weighted_graph, p)
         g = read_edge_list(p)
         assert g == weighted_graph
+
+    def test_roundtrip_keeps_weight_bits(self, tmp_path):
+        # == compares weights with allclose; the bits must survive too
+        p = tmp_path / "g.txt"
+        w = np.array([0.1234567891, 3.0])
+        g = CSRGraph.from_edges(2, np.array([0, 1]), np.array([1, 0]), w)
+        write_edge_list(g, p)
+        assert "1 0 3\n" in p.read_text()  # integral weights stay integers
+        assert np.array_equal(read_edge_list(p).weights, g.weights)
 
     def test_header_nodes_respected(self, tmp_path):
         p = tmp_path / "g.txt"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.io import read_dimacs, write_dimacs
 
 
@@ -13,6 +15,12 @@ class TestDimacs:
         p = tmp_path / "g.gr"
         write_dimacs(weighted_graph, p, comment="roundtrip test")
         assert read_dimacs(p) == weighted_graph
+        # == compares weights with allclose; the bits must survive too
+        w = np.array([0.1234567891, 3.0])
+        g = CSRGraph.from_edges(2, np.array([0, 1]), np.array([1, 0]), w)
+        write_dimacs(g, p)
+        assert "a 2 1 3\n" in p.read_text()  # integral weights stay integers
+        assert np.array_equal(read_dimacs(p).weights, g.weights)
 
     def test_roundtrip_road(self, road_small, tmp_path):
         p = tmp_path / "road.gr"
@@ -91,6 +99,9 @@ class TestDimacsHeaderErrors:
             ("p sp 2 1\na 1 2 nan\n", 2, "non-finite"),
             ("p sp 2 1\na 1 2 inf\n", 2, "non-finite"),
             ("c header\np sp 2 1\na 1 3 1\n", 3, "exceeds n=2"),
+            # rejected at the header, before anything is allocated
+            ("p sp 100000000000000 0\n", 1, "node limit of int32"),
+            ("p sp 2147483649 0\n", 1, "node limit of int32"),
         ],
         ids=[
             "non-integer-n",
@@ -101,6 +112,8 @@ class TestDimacsHeaderErrors:
             "nan-weight",
             "inf-weight",
             "endpoint-beyond-n",
+            "huge-n",
+            "n-past-int32-ids",
         ],
     )
     def test_rejected_with_location(self, tmp_path, text, line, match):
