@@ -25,7 +25,7 @@ starts.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,6 +57,16 @@ logger = get_logger("serve.service")
 STAGE_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 5.0,
 )
+#: the plan a request that names no ``technique`` runs on
+DEFAULT_TECHNIQUE = "exact"
+#: the approximate plan degradation level 1 switches to
+APPROX_TECHNIQUE = "coalescing"
+#: the disk-cache breaker opens after this many failed or slow calls …
+BREAKER_FAILURE_THRESHOLD = 3
+#: … a call slower than this counts as failed …
+BREAKER_SLOW_CALL_SECONDS = 0.25
+#: … and it probes the disk again after this long open
+BREAKER_COOLDOWN_SECONDS = 2.0
 
 
 @dataclass
@@ -65,8 +75,8 @@ class ServeConfig:
 
     scale: str = "tiny"
     seed: int = 7
+    #: must hold DEFAULT_TECHNIQUE and APPROX_TECHNIQUE
     techniques: tuple[str, ...] = ("exact", "coalescing")
-    default_technique: str = "exact"
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 4
@@ -77,13 +87,8 @@ class ServeConfig:
     self_check: bool = True
     allow_chaos: bool = False
     device: DeviceConfig = K40C
-    # breaker knobs (disk cache tier)
-    breaker_failure_threshold: int = 3
-    breaker_slow_call_seconds: float = 0.25
-    breaker_cooldown_seconds: float = 2.0
     # degradation ladder knobs
     degradation: bool = True
-    approx_technique: str = "coalescing"
     level1_wait_ms: float = 50.0
     level2_wait_ms: float = 200.0
     # BENCH_TUNE.json (or its serve block) driving level-2 reduced-work
@@ -96,18 +101,16 @@ class ServeConfig:
     # observability sinks flushed on drain
     metrics_out: str | None = None
     trace_out: str | None = None
-    extra_graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        for t in tuple(self.techniques) + (self.default_technique, self.approx_technique):
+        for t in self.techniques:
             if t not in TECHNIQUES:
                 raise ServeError(
                     f"unknown technique {t!r}; choose from {TECHNIQUES}"
                 )
-        if self.default_technique not in self.techniques:
-            raise ServeError("default_technique must be in techniques")
-        if self.approx_technique not in self.techniques:
-            raise ServeError("approx_technique must be in techniques")
+        for t in (DEFAULT_TECHNIQUE, APPROX_TECHNIQUE):
+            if t not in self.techniques:
+                raise ServeError(f"techniques must include {t!r}")
         if self.workers < 1:
             raise ServeError("workers must be >= 1")
         if self.batch_window_ms < 0:
@@ -123,9 +126,9 @@ class GraphService:
         self.config = config
         self.breaker = CircuitBreaker(
             "disk",
-            failure_threshold=config.breaker_failure_threshold,
-            slow_call_seconds=config.breaker_slow_call_seconds,
-            cooldown_seconds=config.breaker_cooldown_seconds,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            slow_call_seconds=BREAKER_SLOW_CALL_SECONDS,
+            cooldown_seconds=BREAKER_COOLDOWN_SECONDS,
         )
         tuned_overrides = None
         if config.tune_config:
@@ -145,7 +148,7 @@ class GraphService:
                 config.tune_config, tuned_overrides,
             )
         self.ladder = DegradationLadder(
-            approx_technique=config.approx_technique,
+            approx_technique=APPROX_TECHNIQUE,
             level1_wait_seconds=config.level1_wait_ms / 1000.0,
             level2_wait_seconds=config.level2_wait_ms / 1000.0,
             enabled=config.degradation,
@@ -159,7 +162,6 @@ class GraphService:
             self.graphs: dict[str, CSRGraph] = dict(
                 paper_suite(config.scale, seed=config.seed)
             )
-            self.graphs.update(config.extra_graphs)
         self._plans: dict[tuple[str, str], ExecutionPlan] = {}
         self._plan_lock = threading.Lock()
         with obs_trace.span("serve.startup.plans"):
@@ -237,7 +239,7 @@ class GraphService:
             raise ProtocolError(
                 f"unknown graph {graph_name!r}; choose from {sorted(self.graphs)}"
             )
-        requested = req.get("technique") or self.config.default_technique
+        requested = req.get("technique") or DEFAULT_TECHNIQUE
         params = {
             k: v
             for k, v in req.items()

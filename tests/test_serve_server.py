@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ServeClient,
@@ -207,6 +207,18 @@ class TestQueries:
     def test_server_ms_reported(self, client):
         resp = client.request({"op": "sssp", "graph": "rmat", "source": 0})
         assert resp["server_ms"] >= 0.0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "techniques",
+        [("exact",), ("coalescing", "shmem"), ("exact", "coalescing", "bogus")],
+        ids=["no-approximate", "no-exact", "unknown"],
+    )
+    def test_techniques_checked(self, techniques):
+        # requests default to the exact plan and degrade to coalescing
+        with pytest.raises(ServeError):
+            ServeConfig(techniques=techniques)
 
 
 class TestLifecycle:
