@@ -1,17 +1,16 @@
-"""Flat edge arrays shared across Runners by graph fingerprint.
+"""Flat edge arrays of one plan's graph, for vectorized relaxation.
 
 Every :class:`~repro.algorithms.common.Runner` needs the graph's edges
 in flat COO-ish form (``src``/``dst``/``weights``/``out_deg``) for
 vectorized relaxation.  A harness sweep builds one Runner per
-(algorithm × source) on the *same* graph, and each used to rebuild these
-arrays from scratch — an O(E) ``edge_sources().astype`` plus weight and
-degree copies per run.  :func:`shared_edge_view` memoizes the views in a
-small LRU keyed on the graph's content fingerprint, so rebuilding
-happens once per distinct graph per process.
+(algorithm × source) on the *same* plan, so the plan builds the
+:class:`EdgeView` of its graph (and of its cluster graph) on first read
+and keeps it (:attr:`repro.core.pipeline.ExecutionPlan.edges`): every
+Runner on the plan shares one view, and dropping the plan frees it.
 
 The arrays are read-only by convention (like :class:`CSRGraph` itself);
-nothing in the solvers writes to an :class:`EdgeView`.  Hits and misses
-are counted on ``perf.edgeview.{hit,miss}``.
+nothing in the solvers writes to an :class:`EdgeView`.  A view holds
+its graph, never the plan that owns it.
 
 :class:`PullEdgeView` is the bottom-up companion used by schedules that
 pick ``direction="pull"`` (:mod:`repro.perf.schedule`): the reverse-CSR
@@ -19,22 +18,16 @@ view of the graph plus the flat edge arrays in *pull order* (sorted by
 destination, then source) and the permutation mapping each pull record
 back to its forward edge id.  Building it costs one lexsort, so each
 :class:`EdgeView` builds its pull view on first read of
-:attr:`EdgeView.pull` and keeps it: the one cache is the edge-view LRU.
+:attr:`EdgeView.pull` and keeps it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cache.lru import LRUCache
 from ..graphs.csr import CSRGraph
 
-__all__ = [
-    "EdgeView",
-    "PullEdgeView",
-    "shared_edge_view",
-    "edge_view_cache",
-]
+__all__ = ["EdgeView", "PullEdgeView"]
 
 
 class EdgeView:
@@ -122,29 +115,3 @@ class PullEdgeView:
             validate=False,
         )
 
-
-#: distinct graphs whose views stay resident; a table sweep touches a
-#: handful of graphs × techniques, so a small bound is plenty
-EDGE_VIEW_CACHE_SIZE = 32
-
-_views = LRUCache(EDGE_VIEW_CACHE_SIZE, metric_prefix="perf.edgeview")
-
-
-def edge_view_cache() -> LRUCache:
-    """The process-wide EdgeView cache (exposed for tests/inspection)."""
-    return _views
-
-
-def shared_edge_view(graph: CSRGraph) -> EdgeView:
-    """The memoized :class:`EdgeView` of ``graph``.
-
-    Keyed on :meth:`CSRGraph.fingerprint` — content, not identity — so
-    two equal graphs (e.g. a cached plan rebuilt from disk) share one
-    view, and a reused ``id()`` can never alias a different graph.
-    """
-    key = graph.fingerprint()
-    view = _views.get(key)
-    if view is None:
-        view = EdgeView(graph)
-        _views.put(key, view)
-    return view

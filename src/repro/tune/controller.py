@@ -62,13 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.common import Runner
+from ..algorithms.common import Runner, plan_for
 from ..core.pipeline import ExecutionPlan
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..perf.edgeshare import shared_edge_view
 from . import proxies
 
 __all__ = ["ErrorBudget", "AdaptiveController", "adaptive_runner_factory"]
@@ -132,23 +131,24 @@ class AdaptiveController(Runner):
         device: DeviceConfig = K40C,
         *,
         budget: ErrorBudget | None = None,
-        exact_graph: CSRGraph | None = None,
+        exact_graph: CSRGraph | ExecutionPlan | None = None,
     ) -> None:
         super().__init__(plan, device)
         self.budget = budget if budget is not None else ErrorBudget()
         self.enabled = self.budget.enabled
         # the exact-sweep probe needs the original graph in the same
         # value space as the plan (replica renumbering breaks that, and
-        # an exact plan's edges ARE the exact edges — nothing to probe)
+        # an exact plan's edges ARE the exact edges — nothing to probe);
+        # a factory hands every runner one exact plan of that graph
+        exact = plan_for(exact_graph) if exact_graph is not None else None
         if (
-            exact_graph is not None
+            exact is not None
             and plan.technique != "exact"
-            and plan.graph.num_nodes == exact_graph.num_nodes
+            and plan.graph.num_nodes == exact.graph.num_nodes
         ):
-            self._exact_graph: CSRGraph | None = exact_graph
+            self._exact: ExecutionPlan | None = exact
         else:
-            self._exact_graph = None
-        self._exact_edges = None
+            self._exact = None
         self.margin_scale = 1.0
         self._tightened = False
         self._loosened = False
@@ -168,13 +168,6 @@ class AdaptiveController(Runner):
         }
 
     # ------------------------------------------------------------------
-    def _exact_edge_view(self):
-        if self._exact_graph is None:
-            return None
-        if self._exact_edges is None:
-            self._exact_edges = shared_edge_view(self._exact_graph)
-        return self._exact_edges
-
     def _bump(self, what: str) -> None:
         self.interventions[what] += 1
         obs_metrics.counter(f"tune.controller.{what}").inc()
@@ -253,10 +246,10 @@ class AdaptiveController(Runner):
         residual = proxies.residual_mass(prev, values)
         mismatch: float | None = None
         if b.sample_every and iteration % b.sample_every == 0:
-            exact = self._exact_edge_view()
-            if exact is not None:
+            if self._exact is not None:
+                exact = self._exact.edges
                 # the probe is an honest exact sweep: charge it like one
-                self.ctx.charge(None, subgraph=self._exact_graph)
+                self.ctx.charge(None, subgraph=self._exact.graph)
                 self._bump("exact_samples")
                 mismatch = proxies.frontier_mismatch(
                     values, self.edges, exact, relax
@@ -311,19 +304,19 @@ class AdaptiveController(Runner):
 def adaptive_runner_factory(
     budget: ErrorBudget | None = None,
     *,
-    exact_graph: CSRGraph | None = None,
+    exact_graph: CSRGraph | ExecutionPlan | None = None,
 ):
     """A ``runner_factory`` building :class:`AdaptiveController` runners.
 
     Mirrors :func:`repro.serve.deadline.deadline_runner_factory` — pass
     the result to any algorithm's ``runner_factory=`` parameter.
     ``exact_graph`` (the untransformed original) enables the
-    frontier-mismatch probe and rectification.
+    frontier-mismatch probe and rectification.  Its runners share one
+    exact plan, so the factory builds the exact edge view at most once.
     """
+    exact = plan_for(exact_graph) if exact_graph is not None else None
 
     def factory(plan: ExecutionPlan, device: DeviceConfig) -> AdaptiveController:
-        return AdaptiveController(
-            plan, device, budget=budget, exact_graph=exact_graph
-        )
+        return AdaptiveController(plan, device, budget=budget, exact_graph=exact)
 
     return factory

@@ -507,12 +507,13 @@ class TestPlanFullSweepMemo:
 
     def test_rebuilt_reverse_view_reuses_its_entry(self, rmat_small):
         from repro.core.pipeline import build_plan
-        from repro.perf.edgeshare import edge_view_cache
 
         plan = build_plan(rmat_small, "exact")
         first = self._solve("sssp", plan, schedule="pull")
         m0 = self._misses()
-        edge_view_cache().clear()
+        rev = plan.edges.pull.rev
+        plan.edges._pull = None  # the next pull solve rebuilds the view
         second = self._solve("sssp", plan, schedule="pull")
+        assert plan.edges.pull.rev is not rev
         assert self._misses() == m0
         assert self._ledger(second) == self._ledger(first)

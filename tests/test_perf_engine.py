@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.graphs.csr import CSRGraph
 from repro.obs import metrics as obs_metrics
-from repro.perf.edgeshare import edge_view_cache, shared_edge_view
+from repro.algorithms.common import Runner, plan_for
+from repro.algorithms.sssp import sssp
+from repro.core.pipeline import build_plan
+from repro.core.serialize import load_plan, save_plan
 from repro.perf.gather import expand_frontier, expand_rows, scatter_min_changed
 
 
@@ -113,24 +120,76 @@ class TestScatterMinChanged:
 
 
 class TestSharedEdgeView:
-    def test_content_keyed_sharing(self, rmat_small):
-        v1 = shared_edge_view(rmat_small)
-        v2 = shared_edge_view(rmat_small.copy())
-        assert v1 is v2
+    """A plan builds the EdgeViews of its graphs on first read, shares
+    them across its runners and frees them with itself."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The graphs a plan builds an EdgeView of, in order."""
+        from repro.core import pipeline
+
+        built = []
+
+        class Counted(pipeline.EdgeView):
+            def __init__(self, graph):
+                built.append(graph)
+                super().__init__(graph)
+
+        monkeypatch.setattr(pipeline, "EdgeView", Counted)
+        return built
+
+    @staticmethod
+    def fresh_plan(graph, technique):
+        # a copy, so no artifact cache can hand out a plan already run
+        return dataclasses.replace(build_plan(graph, technique))
 
     def test_distinct_content_distinct_views(self, rmat_small, er_small):
-        assert shared_edge_view(rmat_small) is not shared_edge_view(er_small)
-
-    def test_hit_counter(self, rmat_small):
-        shared_edge_view(rmat_small)  # ensure resident
-        hits = obs_metrics.counter("perf.edgeview.hit").value
-        shared_edge_view(rmat_small)
-        assert obs_metrics.counter("perf.edgeview.hit").value == hits + 1
+        assert plan_for(rmat_small).edges is not plan_for(er_small).edges
 
     def test_view_consistency(self, rmat_small):
-        view = shared_edge_view(rmat_small)
+        plan = plan_for(rmat_small)
+        view = plan.edges
         assert np.array_equal(view.src, rmat_small.edge_sources())
         assert np.array_equal(view.dst, rmat_small.indices)
         assert np.array_equal(view.weights, rmat_small.effective_weights())
         assert view.src.size == rmat_small.num_edges
-        assert rmat_small.fingerprint() in edge_view_cache()
+        assert plan.edges is view
+        assert plan.cluster_edges is None
+
+    def test_runners_on_one_plan_share_one_view(self, rmat_small, builds):
+        plan = self.fresh_plan(rmat_small, "shmem")
+        assert plan.cluster_graph is not None
+        assert builds == []  # a plan that never runs builds none
+        a, b = Runner(plan), Runner(plan)
+        assert a.edges is b.edges is plan.edges
+        assert a.cluster_edges is b.cluster_edges is plan.cluster_edges
+        assert builds == [plan.graph, plan.cluster_graph]
+        sssp(plan, 0)
+        assert len(builds) == 2
+
+    def test_copies_start_empty_and_compare_equal(
+        self, rmat_small, tmp_path, builds
+    ):
+        plan = self.fresh_plan(rmat_small, "exact")
+        sssp(plan, 0)
+        save_plan(plan, tmp_path / "plan.npz")
+        copies = [dataclasses.replace(plan), load_plan(tmp_path / "plan.npz")]
+        assert len(builds) == 1
+        for copy in copies:
+            assert copy == plan
+            assert copy.edges is not plan.edges
+        assert len(builds) == 3
+
+    def test_view_dies_with_its_plan(self, rmat_small):
+        plan = self.fresh_plan(rmat_small, "shmem")
+        sssp(plan, 0, schedule="pull")
+        views = [
+            weakref.ref(v)
+            for v in (plan.edges, plan.edges.pull, plan.cluster_edges)
+        ]
+        gc.disable()  # freed by reference counting alone, no collection
+        try:
+            del plan
+            assert [v() for v in views] == [None, None, None]
+        finally:
+            gc.enable()

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 
 from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.bfs import bfs
+from repro.algorithms.common import Runner, plan_for
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
@@ -28,7 +29,7 @@ from repro.errors import AlgorithmError, SimulationError
 from repro.graphs.csr import CSRGraph
 from repro.gpusim.device import K40C
 from repro.gpusim.costmodel import charge_sweep
-from repro.perf.edgeshare import EdgeView, edge_view_cache, shared_edge_view
+from repro.perf.edgeshare import EdgeView
 from repro.perf.schedule import (
     DIRECTIONS,
     FIXED_PUSH,
@@ -292,13 +293,12 @@ class TestPullEdgeView:
         assert np.array_equal(np.sort(pv.fwd_eid), np.arange(pv.src.size))
 
     def test_pull_view_built_once_per_edge_view(self, rmat_small):
-        edge_view_cache().clear()
-        ev = shared_edge_view(rmat_small)
-        pv = ev.pull
-        assert pv is ev.pull
-        assert shared_edge_view(rmat_small).pull is pv
+        plan = plan_for(rmat_small)
+        pv = plan.edges.pull
+        assert pv is plan.edges.pull
+        assert Runner(plan).edges.pull is pv
         other = CSRGraph.from_edges(3, [0, 1], [1, 2])
-        assert shared_edge_view(other).pull is not pv
+        assert plan_for(other).edges.pull is not pv
 
 
 class TestEdgePartitionCostModel:

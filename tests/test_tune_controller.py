@@ -106,10 +106,10 @@ class TestProxies:
     def test_frontier_mismatch_zero_on_same_edges(self):
         corpus = default_corpus()
         g = corpus["road"]
-        from repro.perf.edgeshare import shared_edge_view
+        from repro.perf.edgeshare import EdgeView
         from repro.algorithms.sssp import sssp_relax
 
-        edges = shared_edge_view(g)
+        edges = EdgeView(g)
         values = np.full(g.num_nodes, np.inf)
         values[0] = 0.0
         assert frontier_mismatch(values, edges, edges, sssp_relax) == 0.0
@@ -167,7 +167,7 @@ class TestControllerSteering:
             plan, VERIFY_DEVICE,
             budget=ErrorBudget(target_percent=20.0), exact_graph=g,
         )
-        assert c._exact_graph is None  # nothing to probe against itself
+        assert c._exact is None  # nothing to probe against itself
 
     def test_keep_iterating_loosens_tolerance(self):
         corpus = default_corpus()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,12 @@ from repro.errors import TransformError
 from repro.graphs.generators import paper_suite
 from repro.gpusim.device import DeviceConfig
 from repro.obs.diff import diff_files, extract_series, load_comparable
+from repro.perf.edgeshare import EdgeView, PullEdgeView
 from repro.tune import run_tune, serve_overrides, tune_family
 from repro.tune import cli as tune_cli
 from repro.tune.cli import main as tune_main, record_trajectory
+from repro.tune import search
+from repro.tune.controller import adaptive_runner_factory
 from repro.tune.search import _candidates, _plan_with_threshold
 
 #: small device so the transforms do real work on the tiny suite
@@ -141,6 +146,52 @@ class TestRunTune:
         assert warm["cache"]["hits"] >= 1
         assert warm["cache"]["misses"] == 0
         assert warm["families"] == cold["families"]
+
+
+class TestPlanLifetime:
+    """The search frees each plan once probed, and its edge views with it."""
+
+    def test_one_static_plan_alive_after_the_loop(self, suite, monkeypatch):
+        memo.disable()  # an artifact cache keeps every plan on purpose
+        plans, alive_after_loop = [], []
+
+        def alive():
+            return sum(ref() is not None for ref in plans)
+
+        def plan_with_threshold(*args):
+            assert alive() <= 1  # the running best; the loser is gone
+            plan = _plan_with_threshold(*args)
+            plans.append(weakref.ref(plan))
+            return plan
+
+        def runner_factory(*args, **kwargs):
+            alive_after_loop.append(alive())
+            return adaptive_runner_factory(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_plan_with_threshold", plan_with_threshold)
+        monkeypatch.setattr(search, "adaptive_runner_factory", runner_factory)
+        rec = search._search_family(
+            "rmat", suite["rmat"], budget_percent=20.0, device=DEVICE,
+            quick=True, schedules=search.SCHEDULES_SEARCHED,
+        )
+        assert len(plans) == 9
+        assert rec["static_trials"] == 9 * len(search.SCHEDULES_SEARCHED)
+        assert alive_after_loop == [1] * rec["tuned_trials"]
+        assert alive() == 0
+
+    def test_no_edge_view_outlives_run_tune(self):
+        memo.disable()
+
+        def views():
+            return [
+                o for o in gc.get_objects()
+                if isinstance(o, (EdgeView, PullEdgeView))
+            ]
+
+        before = views()  # held, so no new view can reuse their ids
+        run_tune(scale="tiny", quick=True)
+        known = {id(v) for v in before}
+        assert [v for v in views() if id(v) not in known] == []
 
 
 class TestServeOverrides:
