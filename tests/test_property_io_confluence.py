@@ -26,7 +26,7 @@ class TestParserRobustness:
         try:
             g = read_edge_list(p)
             g.check()
-        except (GraphFormatError, ValueError, OverflowError):
+        except GraphFormatError:
             pass  # rejection is fine; any other exception type is a bug
 
     @given(text=st.text(alphabet="0123456789 acp sp\n-", max_size=200))
@@ -37,7 +37,7 @@ class TestParserRobustness:
         try:
             g = read_dimacs(p)
             g.check()
-        except (GraphFormatError, ValueError, OverflowError):
+        except GraphFormatError:
             pass
 
     @given(g=random_graphs(max_nodes=20, max_edges=60))
