@@ -165,7 +165,7 @@ def _stacked_bc(plan, runner, sched, sources, charging) -> AlgorithmResult:
     n = graph.num_nodes
     m = graph.num_edges
     offsets = graph.offsets
-    indices = graph.indices.astype(np.int64)
+    indices = plan.edges.dst
     num_lanes = int(sources.size)
     primary, g_slots, g_gids, num_groups = _replica_info(plan)
 

@@ -34,23 +34,21 @@ from ..core.pipeline import ExecutionPlan
 from ..errors import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import DeviceConfig, K40C
+from ..perf.edgeshare import EdgeView
 from .common import AlgorithmResult, Runner, plan_for
 
 __all__ = ["mst", "minimum_spanning_forest_weight"]
 
 
 def _undirected_min_edges(
-    graph: CSRGraph,
+    edges: EdgeView,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrized (u, v, w) with u < v and the minimum weight per pair."""
-    src = graph.edge_sources().astype(np.int64)
-    dst = graph.indices.astype(np.int64)
-    w = graph.effective_weights()
-    keep = src != dst
-    src, dst, w = src[keep], dst[keep], w[keep]
+    keep = edges.src != edges.dst
+    src, dst, w = edges.src[keep], edges.dst[keep], edges.weights[keep]
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    key = lo * graph.num_nodes + hi
+    key = lo * edges.graph.num_nodes + hi
     order = np.lexsort((w, key))
     key, lo, hi, w = key[order], lo[order], hi[order], w[order]
     first = np.ones(key.size, dtype=bool)
@@ -105,7 +103,7 @@ def mst(
     graph = plan.graph
     n = graph.num_nodes
 
-    u, v, w = _undirected_min_edges(graph)
+    u, v, w = _undirected_min_edges(plan.edges)
 
     # alias edges: replicas must live in their original's component, so
     # each group member connects to the group's first slot at weight 0

@@ -68,6 +68,7 @@ def scc(
     runner = Runner(plan, device)
     graph = plan.graph
     n = graph.num_nodes
+    src_f, dst_f = plan.edges.src, plan.edges.dst
 
     # replica groups are one logical node: connect the copies with alias
     # edges in both directions before decomposing, otherwise moving a
@@ -83,14 +84,15 @@ def scc(
             extra_dst = np.concatenate([pair_b[keep], pair_a[keep]])
             graph = CSRGraph.from_edges(
                 n,
-                np.concatenate([graph.edge_sources().astype(np.int64), extra_src]),
-                np.concatenate([graph.indices.astype(np.int64), extra_dst]),
+                np.concatenate([src_f, extra_src]),
+                np.concatenate([dst_f, extra_dst]),
                 None,
                 dedup=True,
             )
+            src_f = graph.edge_sources().astype(np.int64)
+            dst_f = graph.indices.astype(np.int64)
 
     rev = graph.reverse()
-    offsets_f, indices_f = graph.offsets, graph.indices.astype(np.int64)
     offsets_b, indices_b = rev.offsets, rev.indices.astype(np.int64)
 
     labels = np.full(n, -1, dtype=np.int64)
@@ -99,9 +101,6 @@ def scc(
     # unfilled holes are not nodes; exclude them from the decomposition
     if plan.graffix is not None:
         remaining &= plan.graffix.rep_of >= 0
-
-    src_f = graph.edge_sources().astype(np.int64)
-    dst_f = graph.indices.astype(np.int64)
 
     def trim() -> None:
         nonlocal next_label
@@ -140,7 +139,7 @@ def scc(
         od = np.bincount(src_f[live], minlength=n)[ids]
         idg = np.bincount(dst_f[live], minlength=n)[ids]
         pivot = int(ids[np.argmax((od + 1) * (idg + 1))])
-        fw = _reach(runner, offsets_f, indices_f, pivot, part)
+        fw = _reach(runner, graph.offsets, dst_f, pivot, part)
         bw = _reach(runner, offsets_b, indices_b, pivot, part)
         core = fw & bw & part
         labels[core] = next_label

@@ -20,8 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import TransformError
+from ..errors import SimulationError, TransformError
 from ..graphs.csr import CSRGraph
+from ..gpusim.costmodel import checked_resident_mask
+from ..gpusim.kernel import checked_order
 from .coalesce import GraffixGraph
 from .pipeline import TECHNIQUES, ExecutionPlan
 
@@ -88,6 +90,12 @@ def load_plan(path: str | Path) -> ExecutionPlan:
         graph = _unpack_graph("graph", data)
         order = data["order"] if "order" in data else None
         resident = data["resident_mask"] if "resident_mask" in data else None
+        try:
+            if order is not None:
+                checked_order(order, graph.num_nodes)
+            checked_resident_mask(resident, graph.num_nodes)
+        except SimulationError as exc:
+            raise TransformError(f"{path}: {exc}") from None
         cluster = (
             _unpack_graph("cluster", data) if "cluster_offsets" in data else None
         )

@@ -48,6 +48,7 @@ __all__ = [
     "SweepCost",
     "charge_sweep",
     "charge_vertex_sweeps",
+    "checked_resident_mask",
     "expand_accesses",
 ]
 
@@ -183,6 +184,18 @@ def _check_ids(graph: CSRGraph, active: np.ndarray) -> None:
         raise SimulationError("active node id out of range")
 
 
+def checked_resident_mask(
+    resident_mask: np.ndarray | None, num_nodes: int
+) -> np.ndarray | None:
+    """``resident_mask`` as bool; refuse one not of length ``num_nodes``."""
+    if resident_mask is None:
+        return None
+    resident_mask = np.asarray(resident_mask, dtype=bool)
+    if resident_mask.size != num_nodes:
+        raise SimulationError("resident_mask length must equal num_nodes")
+    return resident_mask
+
+
 def _checked_inputs(
     graph: CSRGraph, device: DeviceConfig, resident_mask: np.ndarray | None
 ) -> np.ndarray | None:
@@ -191,11 +204,7 @@ def _checked_inputs(
         raise SimulationError("warp_size must be positive")
     if device.line_words <= 0:
         raise SimulationError("line_words must be positive")
-    if resident_mask is not None:
-        resident_mask = np.asarray(resident_mask, dtype=bool)
-        if resident_mask.size != graph.num_nodes:
-            raise SimulationError("resident_mask length must equal num_nodes")
-    return resident_mask
+    return checked_resident_mask(resident_mask, graph.num_nodes)
 
 
 def _sweep_cost(

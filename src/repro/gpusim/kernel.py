@@ -42,11 +42,38 @@ from ..errors import SimulationError
 from ..graphs.csr import CSRGraph
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .costmodel import SweepCost, charge_sweep, charge_vertex_sweeps
+from .costmodel import (
+    SweepCost,
+    charge_sweep,
+    charge_vertex_sweeps,
+    checked_resident_mask,
+)
 from .device import DeviceConfig, K40C
 from .metrics import SimMetrics
 
-__all__ = ["ExecutionContext"]
+__all__ = ["ExecutionContext", "checked_order"]
+
+
+def checked_order(order: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``order`` as int64; refuse one that is not a permutation of the
+    ``num_nodes`` node ids."""
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu":
+        raise SimulationError(
+            f"processing order must hold integer node ids, not {order.dtype}"
+        )
+    order = order.astype(np.int64, copy=False)
+    if order.size != num_nodes:
+        raise SimulationError("processing order must list every node once")
+    if num_nodes and (order.min() < 0 or order.max() >= num_nodes):
+        raise SimulationError(
+            f"processing order names a node id outside [0, {num_nodes})"
+        )
+    seen = np.zeros(num_nodes, dtype=bool)
+    seen[order] = True
+    if not seen.all():
+        raise SimulationError("processing order must be a permutation")
+    return order
 
 
 class ExecutionContext:
@@ -79,31 +106,11 @@ class ExecutionContext:
         if order is None:
             self._order = np.arange(n, dtype=np.int64)
         else:
-            order = np.asarray(order)
-            if order.dtype.kind not in "iu":
-                raise SimulationError(
-                    f"processing order must hold integer node ids, not {order.dtype}"
-                )
-            order = order.astype(np.int64, copy=False)
-            if order.size != n:
-                raise SimulationError("processing order must list every node once")
-            if n and (order.min() < 0 or order.max() >= n):
-                raise SimulationError(
-                    f"processing order names a node id outside [0, {n})"
-                )
-            seen = np.zeros(n, dtype=bool)
-            seen[order] = True
-            if not seen.all():
-                raise SimulationError("processing order must be a permutation")
-            self._order = order
+            self._order = checked_order(order, n)
         # rank[v] = position of node v in the processing order
         self._rank = np.empty(n, dtype=np.int64)
         self._rank[self._order] = np.arange(n, dtype=np.int64)
-        if resident_mask is not None:
-            resident_mask = np.asarray(resident_mask, dtype=bool)
-            if resident_mask.size != n:
-                raise SimulationError("resident_mask length must equal num_nodes")
-        self.resident_mask = resident_mask
+        self.resident_mask = checked_resident_mask(resident_mask, n)
         self.metrics = SimMetrics(device=device)
         # full-sweep memo: (subgraph fingerprint or None, all_shared,
         # partition) -> cost

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -107,16 +110,67 @@ def _tamper_order(order: np.ndarray, how: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("how", ["negative", "too-large", "float"])
-def test_tampered_order_rejected_at_run(rmat_small, how, tmp_path):
-    """A saved divergence plan whose ``order`` was edited on disk must
-    fail with a typed error when it runs, not wrap, index out of bounds
-    or truncate into a different kernel."""
-    p = tmp_path / "plan.npz"
-    save_plan(build_plan(rmat_small, "divergence"), p)
-    with np.load(p) as data:
-        arrays = dict(data)
-    arrays["order"] = _tamper_order(arrays["order"], how)
-    np.savez_compressed(p, **arrays)
-    loaded = load_plan(p)
+def test_tampered_order_rejected_at_run(rmat_small, how):
+    """A divergence plan whose ``order`` was edited in memory must fail
+    with a typed error when it runs, not wrap, index out of bounds or
+    truncate into a different kernel."""
+    plan = build_plan(rmat_small, "divergence")
+    tampered = dataclasses.replace(plan, order=_tamper_order(plan.order, how))
     with pytest.raises(SimulationError, match="processing order"):
-        sssp(loaded, 0)
+        sssp(tampered, 0)
+
+
+def _save_tampered(plan, path, **arrays_in):
+    """Save ``plan`` to ``path``, then overwrite the named arrays on disk."""
+    save_plan(plan, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays.update(arrays_in)
+    np.savez_compressed(path, **arrays)
+
+
+def _at(path, pattern: str) -> str:
+    """A match pattern for an error that names ``path`` first."""
+    return re.escape(f"{path}: ") + pattern
+
+
+@pytest.mark.parametrize("how", ["negative", "too-large", "float"])
+def test_tampered_order_rejected_at_load(rmat_small, how, tmp_path):
+    """The same edits made on disk never load: the run-time check is
+    shared by ``load_plan``, which names the file."""
+    plan = build_plan(rmat_small, "divergence")
+    p = tmp_path / "plan.npz"
+    _save_tampered(plan, p, order=_tamper_order(plan.order, how))
+    with pytest.raises(TransformError, match=_at(p, "processing order")):
+        load_plan(p)
+
+
+class TestTamperedPlanRejectedAtLoad:
+    """Each of these loaded without complaint and failed only on the
+    first run; ``load_plan`` now raises ``TransformError`` naming the
+    file."""
+
+    def test_order_names_a_node_past_the_graph(self, suite_tiny, tmp_path):
+        plan = build_plan(suite_tiny["rmat"], "divergence")
+        assert plan.graph.num_nodes == 256
+        order = plan.order.copy()
+        order[0] = 1_000_000
+        p = tmp_path / "plan.npz"
+        _save_tampered(plan, p, order=order)
+        with pytest.raises(TransformError, match=_at(p, r".*outside \[0, 256\)")):
+            load_plan(p)
+
+    def test_all_zero_order(self, suite_tiny, tmp_path):
+        plan = build_plan(suite_tiny["rmat"], "divergence")
+        p = tmp_path / "plan.npz"
+        _save_tampered(plan, p, order=np.zeros_like(plan.order))
+        with pytest.raises(TransformError, match=_at(p, ".*permutation")):
+            load_plan(p)
+
+    def test_short_resident_mask(self, suite_tiny, tmp_path):
+        plan = build_plan(suite_tiny["rmat"], "shmem")
+        assert plan.graph.num_nodes == 256
+        p = tmp_path / "plan.npz"
+        _save_tampered(plan, p, resident_mask=np.ones(3, dtype=bool))
+        with pytest.raises(TransformError, match=_at(p, "resident_mask length")):
+            load_plan(p)

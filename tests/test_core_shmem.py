@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import shmem
 from repro.core.knobs import SharedMemoryKnobs
@@ -16,7 +19,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.properties import clustering_coefficients
 from repro.graphs.validate import assert_valid
 from repro.gpusim.device import DeviceConfig
-from repro.graphs.generators import PAPER_GRAPH_NAMES
+from repro.graphs.generators import PAPER_GRAPH_NAMES, SUITE_SIZES, heavy_tail_social
 from repro.tune.search import _candidates
 
 
@@ -142,6 +145,20 @@ def _plan_and_link_order(monkeypatch, graph, knobs):
     return plan, list(zip(src[m::2].tolist(), dst[m::2].tolist()))
 
 
+def _hop_oracle(graph: CSRGraph):
+    """The weight of a hop ``x - y`` from a dict of each arc's minimum:
+    the lightest ``x -> y`` arc, else the lightest ``y -> x`` one, else 1."""
+    lightest: dict[tuple[int, int], float] = {}
+    arcs = zip(graph.edge_sources().tolist(), graph.indices.tolist(), graph.weights)
+    for x, y, w in arcs:
+        lightest[x, y] = min(float(w), lightest.get((x, y), math.inf))
+
+    def hop(x: int, y: int) -> float:
+        return lightest.get((x, y), lightest.get((y, x), 1.0))
+
+    return hop
+
+
 def _mean_rule_oracle(graph: CSRGraph, pairs) -> dict[tuple[int, int], float]:
     """The §3 weight of each new pair, replayed in link order with dicts.
 
@@ -149,17 +166,12 @@ def _mean_rule_oracle(graph: CSRGraph, pairs) -> dict[tuple[int, int], float]:
     that moment) weighs the mean of its two hops; a hop weighs as the
     lightest ``x -> y`` input arc, else the lightest ``y -> x`` one, else 1.
     """
-    lightest: dict[tuple[int, int], float] = {}
+    hop = _hop_oracle(graph)
     adj: dict[int, set[int]] = {v: set() for v in range(graph.num_nodes)}
-    arcs = zip(graph.edge_sources().tolist(), graph.indices.tolist(), graph.weights)
-    for x, y, w in arcs:
-        lightest[x, y] = min(float(w), lightest.get((x, y), math.inf))
+    for x, y in zip(graph.edge_sources().tolist(), graph.indices.tolist()):
         if x != y:
             adj[x].add(y)
             adj[y].add(x)
-
-    def hop(x: int, y: int) -> float:
-        return lightest.get((x, y), lightest.get((y, x), 1.0))
 
     weights = {}
     for a, b in pairs:
@@ -234,3 +246,80 @@ class TestWeightedEdges:
         self._check(monkeypatch, g, SharedMemoryKnobs())
         for thr in _candidates(g, "shmem"):
             self._check(monkeypatch, g, SharedMemoryKnobs(cc_threshold=thr))
+
+
+@st.composite
+def _hop_cases(draw):
+    """A small weighted multigraph, stored sorted or not, and hops over it.
+
+    Few nodes and few distinct weights make parallel arcs (tied and not),
+    self-loops, hops with no arc either way and edgeless graphs common.
+    """
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 40))
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src, dst = draw(ids), draw(ids)
+    w = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.25]), min_size=m, max_size=m))
+    graph = CSRGraph.from_edges(
+        n,
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        np.array(w, dtype=np.float64),
+        sort_neighbors=draw(st.booleans()),
+    )
+    h = draw(st.integers(1, 20))
+    hops = st.lists(st.integers(0, n - 1), min_size=h, max_size=h)
+    x, y = np.array(draw(hops), dtype=np.int64), np.array(draw(hops), dtype=np.int64)
+    return graph, x, y
+
+
+class TestHopWeights:
+    """``_hop_weights`` against a dict of each arc's minimum weight."""
+
+    @staticmethod
+    def _oracle(graph: CSRGraph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        hop = _hop_oracle(graph)
+        return np.array([hop(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hop_cases())
+    def test_matches_lightest_arc_oracle(self, case):
+        graph, x, y = case
+        assert np.array_equal(shmem._hop_weights(graph, x, y), self._oracle(graph, x, y))
+
+    def test_hand_built_hops(self):
+        # parallel 0->1 arcs (4.0, 2.5) and a lighter reverse 1->0 (1.0);
+        # a self-loop on 2; 3 has no arc; 4->2 exists only backwards.
+        # Rows are left unsorted so the lookup cannot lean on their order.
+        src = np.array([0, 1, 0, 2, 4, 2], dtype=np.int64)
+        dst = np.array([1, 0, 1, 2, 2, 2], dtype=np.int64)
+        w = np.array([4.0, 1.0, 2.5, 6.0, 7.5, 3.0])
+        g = CSRGraph.from_edges(5, src, dst, w, sort_neighbors=False)
+        x = np.array([0, 1, 2, 3, 2, 4], dtype=np.int64)
+        y = np.array([1, 0, 2, 0, 4, 2], dtype=np.int64)
+        got = shmem._hop_weights(g, x, y)
+        assert got.tolist() == [2.5, 1.0, 3.0, 1.0, 7.5, 7.5]
+
+    def test_edgeless_graph_weighs_every_hop_one(self):
+        g = CSRGraph.from_edges(
+            4, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        )
+        x = np.array([0, 3, 1], dtype=np.int64)
+        y = np.array([3, 3, 2], dtype=np.int64)
+        assert shmem._hop_weights(g, x, y).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_medium_twitter_build_peak_memory():
+    """The default shmem build of the medium twitter graph (the largest
+    transient in the program while hop weights came from expanding whole
+    rows: 380-400 MB) stays under 100 MB of traced Python allocations."""
+    size = SUITE_SIZES["medium"]["tw_n"]
+    graph = heavy_tail_social(size, seed=7 + 4)  # paper_suite("medium")["twitter"]
+    tracemalloc.start()
+    try:
+        plan = plan_shared_memory(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.edges_added > 0
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
